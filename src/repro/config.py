@@ -46,9 +46,6 @@ class CRFSConfig:
     #: read-your-writes extension for general (non-checkpoint) workloads
     #: that interleave reads and writes.
     read_passthrough: bool = True
-    #: Pad the final partial chunk write?  The paper writes only valid
-    #: bytes; padding is an ablation knob (always False for fidelity).
-    pad_partial_chunks: bool = False
     #: Per-file restart readahead cache, in chunks leased from the
     #: buffer pool.  0 (the paper's behaviour, and the default) keeps
     #: reads pure passthrough; > 0 serves chunk-aligned reads from a
@@ -76,10 +73,9 @@ class CRFSConfig:
     #: Total backend write attempts per chunk (1 = fail fast, the
     #: paper's implicit behaviour: the first writeback error latches).
     retry_attempts: int = 1
-    #: Backoff before the second attempt, in seconds; doubles (see
-    #: ``retry_backoff_factor``) up to ``retry_backoff_max``.
+    #: Backoff before the second attempt, in seconds; doubles per
+    #: attempt up to ``retry_backoff_max``.
     retry_backoff: float = 0.002
-    retry_backoff_factor: float = 2.0
     retry_backoff_max: float = 0.1
     #: Deterministic jitter fraction applied to each backoff delay
     #: (drawn from util.rng, so schedules are reproducible).
@@ -219,7 +215,6 @@ class CRFSConfig:
         return RetryPolicy(
             attempts=self.retry_attempts,
             backoff=self.retry_backoff,
-            backoff_factor=self.retry_backoff_factor,
             backoff_max=self.retry_backoff_max,
             jitter=self.retry_jitter,
             attempt_timeout=self.retry_timeout,

@@ -146,16 +146,20 @@ def _timing_stats(sizes: list[int], config: CRFSConfig, seed: int) -> dict[str, 
 _BATCH_RUN_CHUNKS = 16
 
 
-def _batched_config() -> CRFSConfig:
+def _batched_config(nchunks: int, batch: int) -> CRFSConfig:
+    chunk = 64 * KiB
     return CRFSConfig(
-        chunk_size=64 * KiB,
-        pool_size=2 * MiB,  # all 17 chunks fit: no pool backpressure
+        chunk_size=chunk,
+        pool_size=(nchunks + 4) * chunk,  # gate + run fit: no backpressure
         io_threads=1,
-        writeback_batch_chunks=8,
+        writeback_batch_chunks=batch,
     )
 
 
-def _functional_batched_stats(config: CRFSConfig) -> dict[str, Any]:
+def _functional_batched_stats(
+    nchunks: int = _BATCH_RUN_CHUNKS, batch: int = 8
+) -> dict[str, Any]:
+    config = _batched_config(nchunks, batch)
     gate = threading.Event()
     backend = FaultyBackend(
         MemBackend(),
@@ -166,13 +170,16 @@ def _functional_batched_stats(config: CRFSConfig) -> dict[str, Any]:
     with fs:
         with fs.open("/gate.img") as fa, fs.open("/rank0.img") as fb:
             fa.write(b"\x00" * config.chunk_size)
-            for _ in range(_BATCH_RUN_CHUNKS):
+            for _ in range(nchunks):
                 fb.write(b"\x00" * config.chunk_size)
             gate.set()
     return fs.stats()
 
 
-def _timing_batched_stats(config: CRFSConfig, seed: int) -> dict[str, Any]:
+def _timing_batched_stats(
+    seed: int, nchunks: int = _BATCH_RUN_CHUNKS, batch: int = 8
+) -> dict[str, Any]:
+    config = _batched_config(nchunks, batch)
     sim = Simulator()
     hw = DEFAULT_HW
     membus = SharedBandwidth(sim, hw.membus_bandwidth)
@@ -186,7 +193,7 @@ def _timing_batched_stats(config: CRFSConfig, seed: int) -> dict[str, Any]:
         fa = crfs.open("/gate.img")
         yield from crfs.write(fa, config.chunk_size)
         fb = crfs.open("/rank0.img")
-        for _ in range(_BATCH_RUN_CHUNKS):
+        for _ in range(nchunks):
             yield from crfs.write(fb, config.chunk_size)
         yield from crfs.close(fb)
         yield from crfs.close(fa)
@@ -611,9 +618,8 @@ def run(seed: int = DEFAULT_SEED, fast: bool = False) -> ExperimentResult:
             [f"{section}.{field}", str(a), str(b), "yes" if match else "NO"]
         )
 
-    bconfig = _batched_config()
-    bfunc = _functional_batched_stats(bconfig)
-    btiming = _timing_batched_stats(bconfig, seed)
+    bfunc = _functional_batched_stats()
+    btiming = _timing_batched_stats(seed)
     for key in ("batch", "chunks_written", "bytes_out", "io_errors"):
         match = bfunc[key] == btiming[key]
         if not match:

@@ -20,7 +20,6 @@ exit on sim-plane regression), and ``update-baseline``.
 """
 
 from .compare import (
-    OPTIONAL_METRICS,
     ComparisonReport,
     MetricDelta,
     compare_artifacts,
@@ -28,7 +27,6 @@ from .compare import (
 )
 from .runner import run_scenario_real, run_scenario_sim, run_suite
 from .scenarios import SCENARIOS, Scenario
-from .trend import compute_trend, render_trend
 from .schema import (
     SCHEMA_VERSION,
     ArtifactError,
@@ -44,7 +42,6 @@ __all__ = [
     "ArtifactError",
     "ComparisonReport",
     "MetricDelta",
-    "OPTIONAL_METRICS",
     "SCENARIOS",
     "SCHEMA_VERSION",
     "Scenario",
@@ -52,11 +49,9 @@ __all__ = [
     "build_artifact",
     "canonical_metrics",
     "compare_artifacts",
-    "compute_trend",
     "dump_artifact",
     "load_artifact",
     "render_report",
-    "render_trend",
     "run_scenario_real",
     "run_scenario_sim",
     "run_suite",

@@ -13,16 +13,11 @@ Typical loop::
 
     # a PR that intentionally shifts perf re-pins the baseline
     python -m repro.perf update-baseline
-
-    # the sparkline dashboard over the committed BENCH history
-    # (--check gates newest-vs-previous goodput in CI)
-    python -m repro.perf trend --check
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 from typing import Any
@@ -31,7 +26,6 @@ from ..util.tables import TextTable
 from .compare import compare_artifacts, render_report
 from .runner import run_suite
 from .scenarios import SCENARIOS
-from .trend import compute_trend, render_trend
 from .schema import (
     REQUIRED_METRICS,
     ArtifactError,
@@ -196,9 +190,8 @@ def check_baseline(baseline: dict[str, Any]) -> list[str]:
     mem = sub("zero_copy", "stats", "mem")
     if mem is not None:
         zc = scenarios["zero_copy"]
-        for key in ("bytes_copied", "copies", "copy_ratio"):
-            if key not in zc:
-                problems.append(f"zero_copy: copy metric {key!r} missing")
+        if "copy_ratio" not in zc:
+            problems.append("zero_copy: copy metric 'copy_ratio' missing")
         if mem.get("bytes_copied") != zc["bytes_in"]:
             problems.append(
                 "zero_copy: the sequential write path must pay exactly one "
@@ -248,41 +241,6 @@ def _cmd_update_baseline(args: argparse.Namespace) -> int:
         artifact = build_artifact(section, seed=args.seed, fast=args.fast)
     dump_artifact(artifact, args.baseline)
     print(f"baseline updated: {args.baseline}")
-    return 0
-
-
-def _cmd_trend(args: argparse.Namespace) -> int:
-    """The regression dashboard over committed BENCH artifacts.
-
-    Renders the per-scenario sparkline table (see
-    :mod:`repro.perf.trend`); ``--json`` dumps the computed structure,
-    ``--check`` exits nonzero when the newest BENCH regresses goodput
-    beyond tolerance against the BENCH immediately before it.
-    """
-    paths = sorted(args.dir.glob("BENCH_*.json"))
-    if not paths:
-        print(f"no BENCH_*.json artifacts under {args.dir}", file=sys.stderr)
-        return 1
-    artifacts = []
-    for path in paths:
-        try:
-            artifacts.append((path.name, load_artifact(path)))
-        except Exception as exc:  # noqa: BLE001 - a bad file shouldn't kill trend
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-    if not artifacts:
-        return 1
-    baseline = None
-    try:
-        baseline = load_artifact(args.baseline)
-    except ArtifactError:
-        pass  # staleness is advisory; no baseline, no warning
-    trend = compute_trend(artifacts, baseline=baseline)
-    if args.json:
-        print(json.dumps(trend, indent=2, sort_keys=True))
-    else:
-        print(render_trend(trend))
-    if args.check and trend["check"]["regressions"]:
-        return 1
     return 0
 
 
@@ -347,30 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         help=f"baseline path to write (default: {DEFAULT_BASELINE})",
     )
     up_p.set_defaults(fn=_cmd_update_baseline)
-
-    trend_p = sub.add_parser(
-        "trend",
-        help="per-scenario sparkline dashboard over committed BENCH files",
-    )
-    trend_p.add_argument(
-        "--dir", type=pathlib.Path, default=DEFAULT_OUT_DIR,
-        help=f"directory holding BENCH_*.json (default: {DEFAULT_OUT_DIR})",
-    )
-    trend_p.add_argument(
-        "--baseline", type=pathlib.Path, default=DEFAULT_BASELINE,
-        help="baseline checked for staleness against the BENCH history "
-        f"(default: {DEFAULT_BASELINE})",
-    )
-    trend_p.add_argument(
-        "--json", action="store_true",
-        help="emit the computed trend structure as JSON",
-    )
-    trend_p.add_argument(
-        "--check", action="store_true",
-        help="CI gate: exit 1 when the newest BENCH regresses goodput "
-        "beyond tolerance against the previous BENCH",
-    )
-    trend_p.set_defaults(fn=_cmd_trend)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -26,7 +26,6 @@ __all__ = [
     "ComparisonReport",
     "MetricDelta",
     "MetricPolicy",
-    "OPTIONAL_METRICS",
     "POLICIES",
     "compare_artifacts",
     "render_report",
@@ -66,6 +65,8 @@ POLICIES: dict[str, MetricPolicy] = {
     "chunks_queued": MetricPolicy("exact"),
     "chunks_written": MetricPolicy("exact"),
     "drain_waits": MetricPolicy("exact"),
+    "bytes_copied": MetricPolicy("exact"),
+    "copies": MetricPolicy("exact"),
     "elapsed_s": MetricPolicy("lower", tolerance=0.10, abs_floor=1e-6),
     "goodput_mib_s": MetricPolicy("higher", tolerance=0.10),
     "write_latency_p50_s": MetricPolicy("lower", tolerance=0.15, abs_floor=1e-6),
@@ -73,15 +74,6 @@ POLICIES: dict[str, MetricPolicy] = {
     "chunk_write_p50_s": MetricPolicy("lower", tolerance=0.15, abs_floor=1e-6),
     "chunk_write_p95_s": MetricPolicy("lower", tolerance=0.15, abs_floor=1e-6),
     "drain_time_s": MetricPolicy("lower", tolerance=0.15, abs_floor=1e-6),
-}
-
-#: Metrics newer harnesses record beside the required set.  Compared
-#: only when BOTH artifacts carry the key, so a baseline (or historical
-#: BENCH) that predates a metric never fails to diff — but once the
-#: baseline pins one, drift gates exactly like a required counter.
-OPTIONAL_METRICS: dict[str, MetricPolicy] = {
-    "bytes_copied": MetricPolicy("exact"),
-    "copies": MetricPolicy("exact"),
 }
 
 
@@ -146,13 +138,8 @@ def _compare_plane(
                 report.notes.append(f"{plane}/{scenario}: not in new artifact")
             continue
         new_metrics = new[scenario]
-        judged = [(m, POLICIES[m]) for m in REQUIRED_METRICS]
-        judged += [
-            (m, policy)
-            for m, policy in OPTIONAL_METRICS.items()
-            if m in base_metrics and m in new_metrics
-        ]
-        for metric, policy in judged:
+        for metric in REQUIRED_METRICS:
+            policy = POLICIES[metric]
             b, n = base_metrics[metric], new_metrics[metric]
             report.deltas.append(
                 MetricDelta(

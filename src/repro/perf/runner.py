@@ -3,8 +3,8 @@
 One scenario run produces one metric block (see
 :data:`~repro.perf.schema.REQUIRED_METRICS`): goodput, write/chunk
 latency percentiles off the unified event stream, chunk counts, drain
-time from the stats registry's ``drain`` section, and the full
-``stats()`` snapshot.
+time from the stats registry's ``drain`` section, the copy ledger from
+its ``mem`` section, and the full ``stats()`` snapshot.
 
 The sim plane drives :class:`~repro.simcrfs.SimCRFS` over a
 :class:`~repro.simio.nullfs.NullSimFilesystem` (paper Fig 5's rig: raw
@@ -83,6 +83,7 @@ def _metrics(
     stats: dict[str, Any],
     restore_marks: list[tuple[float, float]] | None = None,
 ) -> dict[str, Any]:
+    mem = stats["mem"]
     out = {
         "bytes_in": total_bytes,
         "writes": nwrites,
@@ -96,19 +97,12 @@ def _metrics(
         "chunks_written": stats["chunks_written"],
         "drain_waits": stats["drain"]["waits"],
         "drain_time_s": stats["drain"]["time_total"],
+        # Copy accounting (DESIGN.md §3k), promoted from the snapshot.
+        "bytes_copied": mem["bytes_copied"],
+        "copies": mem["copies"],
+        "copy_ratio": mem["bytes_copied"] / total_bytes if total_bytes > 0 else 0.0,
         "stats": stats,
     }
-    mem = stats.get("mem")
-    if mem is not None:
-        # Copy accounting (DESIGN.md §3k), promoted from the snapshot to
-        # top-level metrics for every scenario.  Extra keys beside
-        # REQUIRED_METRICS — compared only when both artifacts carry
-        # them, so historical BENCHes that predate the ledger still load.
-        out["bytes_copied"] = mem["bytes_copied"]
-        out["copies"] = mem["copies"]
-        out["copy_ratio"] = (
-            mem["bytes_copied"] / total_bytes if total_bytes > 0 else 0.0
-        )
     if restore_marks:
         # Read-back scenarios: time-to-last-restore (first restart to
         # last byte delivered) and the slowest single rank's restore.

@@ -61,6 +61,8 @@ REQUIRED_METRICS = (
     "chunks_written",
     "drain_waits",
     "drain_time_s",
+    "bytes_copied",
+    "copies",
 )
 
 

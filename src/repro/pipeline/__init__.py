@@ -24,11 +24,11 @@ from .events import (
     BackendRecovered,
     BatchBroken,
     BatchWritten,
+    ChunkFetched,
     ChunkPrefetched,
     ChunkRetried,
     ChunkSealed,
     ChunkWritten,
-    CopyObserved,
     DeltaGenerationCommitted,
     DeltaRestored,
     ErrorLatched,
@@ -76,13 +76,13 @@ __all__ = [
     "BatchBroken",
     "BatchWritten",
     "CacheEntry",
+    "ChunkFetched",
     "ChunkPrefetched",
     "ChunkRetried",
     "ChunkSealed",
     "ChunkWritten",
     "COPY_SITES",
     "CopyLedger",
-    "CopyObserved",
     "DEFAULT_TENANT",
     "DEMAND",
     "DRRScheduler",

@@ -18,7 +18,12 @@ to make, and counts every one of them.  The sites:
     chunk (prefetch or demand).  Filling the cache is a copy by
     definition; serving from it afterwards is not.
 
-Emission happens in shared kernel code (``FilePipeline.note_write`` /
+No event exists just to report a copy.  :class:`~repro.pipeline.stats.
+PipelineStats` derives the ledger from the events that already carry
+the bytes: ``ingest`` from an aggregated ``WriteObserved`` (not
+write-through, ``length > 0``), ``read_boundary`` from
+``ReadObserved.copied``, and ``fetch`` from ``ChunkFetched``.  All three
+are emitted in shared kernel code (``FilePipeline.note_write`` /
 ``note_read`` and ``ReadaheadCore.fetch_done``), so the ledger — and
 therefore ``stats()["mem"]`` — is bit-identical across the functional
 and timing planes by construction.  Backend-internal materializations
@@ -62,17 +67,11 @@ class CopyLedger:
         }
 
     def record(self, site: str, length: int) -> None:
-        """Count one copy of ``length`` bytes at ``site``.
-
-        Unknown sites are admitted (they grow ``by_site``) so the
-        ledger never drops data, but every in-tree emitter uses a
-        :data:`COPY_SITES` constant.
-        """
+        """Count one copy of ``length`` bytes at ``site`` (one of
+        :data:`COPY_SITES`)."""
         self.copies += 1
         self.bytes_copied += length
-        bucket = self.by_site.get(site)
-        if bucket is None:
-            bucket = self.by_site.setdefault(site, {"copies": 0, "bytes": 0})
+        bucket = self.by_site[site]
         bucket["copies"] += 1
         bucket["bytes"] += length
 

@@ -45,9 +45,9 @@ __all__ = [
     "PoolPressure",
     "QueuePressure",
     "ReadObserved",
-    "CopyObserved",
     "ReadHit",
     "ReadMiss",
+    "ChunkFetched",
     "ChunkPrefetched",
     "PrefetchWasted",
     "PrefetchDropped",
@@ -91,7 +91,9 @@ class WriteObserved(PipelineEvent):
     """One application ``write()`` was accepted (Section IV-B entry).
 
     ``degraded`` marks a write served synchronously because the backend
-    circuit breaker is open (degraded writes are also write-through)."""
+    circuit breaker is open (degraded writes are also write-through).
+    An aggregated (not write-through) write of ``length > 0`` paid the
+    ``ingest`` copy of DESIGN.md §3k: user buffer → pooled chunk."""
 
     path: str
     offset: int
@@ -279,7 +281,10 @@ class ReadObserved(PipelineEvent):
     — so the ``read`` stats section counts reads even with the readahead
     cache disabled.  ``length`` is the *requested* size (both planes
     agree on it; the functional plane's short reads at EOF would
-    otherwise diverge from the data-free timing plane)."""
+    otherwise diverge from the data-free timing plane).  ``copied`` is
+    the bytes joined out of cached views into the ``bytes`` handed
+    across the POSIX shim — the ``read_boundary`` copy of DESIGN.md
+    §3k; passthrough reads copy nothing at the pipeline level."""
 
     path: str
     offset: int
@@ -287,27 +292,7 @@ class ReadObserved(PipelineEvent):
     start: float
     duration: float
     tenant: str = "default"
-
-
-@dataclass(frozen=True)
-class CopyObserved(PipelineEvent):
-    """The pipeline materialized ``length`` bytes: one of the budgeted
-    data copies on the hot path (DESIGN.md §3k).
-
-    ``site`` names the call-site class — ``"ingest"`` (user buffer →
-    pooled chunk buffer, the single copy the write path is allowed),
-    ``"read_boundary"`` (cached view(s) → the ``bytes`` handed across
-    the POSIX-shim boundary) or ``"fetch"`` (backend → pooled cache
-    buffer on a readahead/demand fetch).  Backend-*internal*
-    materializations (e.g. a passthrough ``pread``) are a property of
-    the backend, not the pipeline, and are documented at the
-    :class:`~repro.backends.base.Backend` interface instead of counted
-    here — both planes therefore emit identical copy streams."""
-
-    path: str
-    site: str
-    length: int
-    t: float = 0.0
+    copied: int = 0
 
 
 @dataclass(frozen=True)
@@ -328,6 +313,19 @@ class ReadMiss(PipelineEvent):
 
     path: str
     file_offset: int
+    t: float = 0.0
+
+
+@dataclass(frozen=True)
+class ChunkFetched(PipelineEvent):
+    """A readahead or demand fetch delivered ``length`` bytes from the
+    backend into a pooled cache buffer — the ``fetch`` copy of
+    DESIGN.md §3k.  Emitted whether or not the entry survived its
+    flight: the bytes moved either way."""
+
+    path: str
+    file_offset: int
+    length: int
     t: float = 0.0
 
 

@@ -31,7 +31,6 @@ import time
 from typing import Any, Callable, Iterable
 
 from ..errors import BackendIOError, FileStateError
-from .copies import INGEST, READ_BOUNDARY
 from .delta import DeltaTracker
 from .events import (
     BatchBroken,
@@ -39,7 +38,6 @@ from .events import (
     ChunkRetried,
     ChunkSealed,
     ChunkWritten,
-    CopyObserved,
     ErrorLatched,
     FileClosed,
     FileDrained,
@@ -141,20 +139,14 @@ class FilePipeline:
 
         An aggregated write paid exactly one copy — user buffer into
         the pooled chunk buffer at ingest (the aliasing snapshot
-        point), so it is accounted here rather than at each
-        ``Chunk.append`` call.  Write-through bypasses aggregation and
-        hands the caller's view straight to the backend: no pipeline
-        copy.
+        point); the stats registry derives it from this one event
+        rather than from each ``Chunk.append`` call.  Write-through
+        bypasses aggregation and hands the caller's view straight to
+        the backend: no pipeline copy.
         """
         now = self.clock()
         if start is None:
             start = now
-        if not write_through and length > 0:
-            self._emit(
-                CopyObserved(
-                    path=self.path, site=INGEST, length=length, t=now
-                )
-            )
         self._emit(
             WriteObserved(
                 path=self.path,
@@ -188,12 +180,6 @@ class FilePipeline:
         now = self.clock()
         if start is None:
             start = now
-        if copied > 0:
-            self._emit(
-                CopyObserved(
-                    path=self.path, site=READ_BOUNDARY, length=copied, t=now
-                )
-            )
         self._emit(
             ReadObserved(
                 path=self.path,
@@ -202,6 +188,7 @@ class FilePipeline:
                 start=start,
                 duration=now - start,
                 tenant=self.tenant,
+                copied=copied,
             )
         )
 

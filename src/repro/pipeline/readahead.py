@@ -40,10 +40,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, List, Optional, Tuple
 
-from .copies import FETCH
 from .events import (
+    ChunkFetched,
     ChunkPrefetched,
-    CopyObserved,
     PrefetchDropped,
     PrefetchWasted,
     ReadHit,
@@ -315,12 +314,15 @@ class ReadaheadCore:
         (the drop was accounted at eviction time).
 
         The backend→pooled-buffer copy happened whether or not the entry
-        survived its flight, so the ``fetch`` copy is accounted before
-        the eviction check (failed fetches moved no bytes and go through
+        survived its flight, so ``ChunkFetched`` is emitted before the
+        eviction check (failed fetches moved no bytes and go through
         :meth:`fetch_failed` instead, which accounts nothing)."""
         self._emit(
-            CopyObserved(
-                path=self.path, site=FETCH, length=length, t=self._clock()
+            ChunkFetched(
+                path=self.path,
+                file_offset=entry.index * self.chunk_size,
+                length=length,
+                t=self._clock(),
             )
         )
         if entry.evicted:

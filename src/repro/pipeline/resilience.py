@@ -47,7 +47,7 @@ class RetryPolicy:
 
     ``attempts`` counts the first try: 1 means fail-fast (the pre-retry
     behaviour), N allows N-1 retries.  The delay before attempt k+1 is
-    ``min(backoff * backoff_factor**(k-1), backoff_max)`` scaled by a
+    ``min(backoff * 2**(k-1), backoff_max)`` scaled by a
     deterministic jitter factor in ``[1-jitter, 1+jitter]`` derived
     from ``(seed, path, file_offset, attempt)`` — no shared mutable RNG
     state, so concurrent workers and the simulation plane draw
@@ -56,7 +56,6 @@ class RetryPolicy:
 
     attempts: int = 1
     backoff: float = 0.002
-    backoff_factor: float = 2.0
     backoff_max: float = 0.1
     jitter: float = 0.1
     attempt_timeout: float = 0.0  # 0 = no per-attempt deadline
@@ -67,10 +66,6 @@ class RetryPolicy:
             raise ConfigError(f"attempts must be >= 1, got {self.attempts}")
         if self.backoff < 0:
             raise ConfigError(f"backoff must be >= 0, got {self.backoff}")
-        if self.backoff_factor < 1.0:
-            raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
         if self.backoff_max < 0:
             raise ConfigError(f"backoff_max must be >= 0, got {self.backoff_max}")
         if not 0.0 <= self.jitter <= 1.0:
@@ -95,9 +90,7 @@ class RetryPolicy:
 
     def delay(self, attempt: int, path: str, file_offset: int) -> float:
         """Backoff before the attempt after 1-based ``attempt`` failed."""
-        base = min(
-            self.backoff * self.backoff_factor ** (attempt - 1), self.backoff_max
-        )
+        base = min(self.backoff * 2 ** (attempt - 1), self.backoff_max)
         if base <= 0 or self.jitter <= 0:
             return base
         rng = rng_for(self.seed, f"retry/{path}/{file_offset}/{attempt}")

@@ -14,18 +14,18 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable
 
-from .copies import CopyLedger
+from .copies import FETCH, INGEST, READ_BOUNDARY, CopyLedger
 from .events import (
     AdmissionWait,
     BackendDegraded,
     BackendRecovered,
     BatchBroken,
     BatchWritten,
+    ChunkFetched,
     ChunkPrefetched,
     ChunkRetried,
     ChunkSealed,
     ChunkWritten,
-    CopyObserved,
     DeltaGenerationCommitted,
     DeltaRestored,
     ErrorLatched,
@@ -271,6 +271,8 @@ class PipelineStats(PipelineObserver):
                 self.bytes_in += event.length
                 if event.write_through:
                     self.write_through_bytes += event.length
+                elif event.length > 0:
+                    self.copies.record(INGEST, event.length)
                 if event.degraded:
                     self.degraded_writes += 1
                     self.degraded_bytes += event.length
@@ -362,8 +364,10 @@ class PipelineStats(PipelineObserver):
                 t = self._tenant(event.tenant)
                 t["reads"] += 1
                 t["bytes_read"] += event.length
-            elif isinstance(event, CopyObserved):
-                self.copies.record(event.site, event.length)
+                if event.copied > 0:
+                    self.copies.record(READ_BOUNDARY, event.copied)
+            elif isinstance(event, ChunkFetched):
+                self.copies.record(FETCH, event.length)
             elif isinstance(event, ReadHit):
                 self.read_hits += 1
             elif isinstance(event, ReadMiss):

@@ -7,23 +7,28 @@ snapshots.
 This is the test that justifies claiming both planes implement *the same
 filesystem*."""
 
-import threading
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends import (
-    FaultRule,
-    FaultyBackend,
-    InstrumentedBackend,
-    MemBackend,
-    PipelineOpRecorder,
-)
+from repro.backends import InstrumentedBackend, MemBackend, PipelineOpRecorder
 from repro.config import CRFSConfig
 from repro.core import CRFS
+from repro.experiments.crossplane import (
+    _DELTA_ITERATIONS,
+    DELTA_COMPARED_FIELDS,
+    DELTA_READ_FIELDS,
+    _delta_config,
+    _error_key,
+    _functional_batched_stats,
+    _functional_delta_stats,
+    _functional_tiered_stats,
+    _tiered_config,
+    _timing_batched_stats,
+    _timing_delta_stats,
+    _timing_tiered_stats,
+)
 from repro.sim import SharedBandwidth, Simulator
 from repro.simcrfs import SimCRFS
-from repro.simio.faulty import FaultySimFilesystem
 from repro.simio.nullfs import NullSimFilesystem
 from repro.simio.params import DEFAULT_HW
 from repro.units import KiB
@@ -362,73 +367,14 @@ class TestCrossPlaneReadDifferential:
 
 
 # -- the coalesced-writeback differential --------------------------------------
-#
-# Batch formation depends on queue occupancy at gather time, so a
-# free-running workload would be racy on the functional plane.  Both
-# planes run the same gated workload instead: a one-chunk gate file's
-# backend pwrite is held open (threading.Event functionally, a long
-# virtual delay in the DES) while a second file's whole run is queued.
-# The lone worker reaches the run only after the gate lifts, making
-# batch formation a pure function of (nchunks, batch limit) — and
-# forcing ``stats()["batch"]`` to be bit-identical across planes.
-
-
-def _batched_config(nchunks, batch):
-    chunk = 64 * KiB
-    return CRFSConfig(
-        chunk_size=chunk,
-        pool_size=(nchunks + 4) * chunk,  # gate + run fit: no backpressure
-        io_threads=1,
-        writeback_batch_chunks=batch,
-    )
-
-
-def functional_batched_run(nchunks, batch):
-    config = _batched_config(nchunks, batch)
-    gate = threading.Event()
-    backend = FaultyBackend(
-        MemBackend(),
-        [FaultRule(op="pwrite", nth=1, delay=1.0)],
-        sleep=lambda _s: gate.wait(),
-    )
-    fs = CRFS(backend, config)
-    with fs:
-        with fs.open("/gate.img") as fa, fs.open("/rank0.img") as fb:
-            fa.write(b"\x00" * config.chunk_size)
-            for _ in range(nchunks):
-                fb.write(b"\x00" * config.chunk_size)
-            gate.set()
-    return fs.stats()
-
-
-def timing_batched_run(nchunks, batch):
-    config = _batched_config(nchunks, batch)
-    sim = Simulator()
-    hw = DEFAULT_HW
-    membus = SharedBandwidth(sim, hw.membus_bandwidth)
-    backend = FaultySimFilesystem(
-        NullSimFilesystem(sim, hw, rng_for(1, "xp-batched")),
-        [FaultRule(op="pwrite", nth=1, delay=1.0)],
-    )
-    crfs = SimCRFS(sim, hw, config, backend, membus)
-
-    def proc():
-        fa = crfs.open("/gate.img")
-        yield from crfs.write(fa, config.chunk_size)
-        fb = crfs.open("/rank0.img")
-        for _ in range(nchunks):
-            yield from crfs.write(fb, config.chunk_size)
-        yield from crfs.close(fb)
-        yield from crfs.close(fa)
-
-    sim.run_until_complete([sim.spawn(proc())])
-    return crfs.stats()
 
 
 class TestCrossPlaneBatchDifferential:
     """``stats()["batch"]`` — batches, chunks, bytes, per-batch size
-    histogram — is a pure function of the gated workload, so it must be
-    bit-identical across planes."""
+    histogram — is a pure function of the gated workload (see the
+    crossplane experiment's batched arm), so it must be bit-identical
+    across planes.  Reuses the experiment's arm builders so the test
+    and the experiment can never drift apart."""
 
     @pytest.mark.parametrize(
         "nchunks,batch,per_batch",
@@ -440,8 +386,8 @@ class TestCrossPlaneBatchDifferential:
         ],
     )
     def test_batch_section_identical(self, nchunks, batch, per_batch):
-        func = functional_batched_run(nchunks, batch)
-        timing = timing_batched_run(nchunks, batch)
+        func = _functional_batched_stats(nchunks, batch)
+        timing = _timing_batched_stats(1, nchunks, batch)
         assert func["batch"] == timing["batch"]
         assert func["batch"]["per_batch"] == per_batch
         batched = sum(int(k) * v for k, v in per_batch.items())
@@ -453,8 +399,8 @@ class TestCrossPlaneBatchDifferential:
             assert snap["bytes_out"] == (nchunks + 1) * 64 * KiB
 
     def test_batching_disabled_zeroes_section_on_both_planes(self):
-        func = functional_batched_run(16, 1)
-        timing = timing_batched_run(16, 1)
+        func = _functional_batched_stats(16, 1)
+        timing = _timing_batched_stats(1, 16, 1)
         assert func["batch"] == timing["batch"]
         assert func["batch"]["batches"] == func["batch"]["chunks"] == 0
 
@@ -473,13 +419,6 @@ class TestCrossPlaneTieredDifferential:
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "deep_dead"])
     def test_tiers_section_identical(self, faulted):
-        from repro.experiments.crossplane import (
-            _error_key,
-            _functional_tiered_stats,
-            _tiered_config,
-            _timing_tiered_stats,
-        )
-
         config = _tiered_config(faulted)
         func = _functional_tiered_stats(config, faulted)
         timing = _timing_tiered_stats(config, seed=1, faulted=faulted)
@@ -518,15 +457,6 @@ class TestCrossPlaneDeltaDifferential:
     test and the experiment can never drift apart."""
 
     def test_delta_section_identical(self):
-        from repro.experiments.crossplane import (
-            _DELTA_ITERATIONS,
-            DELTA_COMPARED_FIELDS,
-            DELTA_READ_FIELDS,
-            _delta_config,
-            _functional_delta_stats,
-            _timing_delta_stats,
-        )
-
         config = _delta_config()
         func = _functional_delta_stats(config, seed=7)
         timing = _timing_delta_stats(config, seed=7)

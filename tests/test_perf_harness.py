@@ -15,7 +15,7 @@ import pytest
 from repro.backends import MemBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
-from repro.perf.cli import main as perf_main
+from repro.perf.cli import check_baseline, main as perf_main
 from repro.perf.compare import POLICIES, MetricPolicy, compare_artifacts, render_report
 from repro.perf.runner import percentile, run_scenario_real, run_scenario_sim, run_suite
 from repro.perf.scenarios import SCENARIOS, default_scenarios
@@ -73,6 +73,17 @@ class TestSchema:
         del bad["planes"]["sim"]["single_writer_seq"]["goodput_mib_s"]
         with pytest.raises(ArtifactError, match="goodput_mib_s"):
             dump_artifact(bad, "/dev/null")
+
+    def test_artifact_without_copy_metrics_rejected(self, sim_artifact, tmp_path):
+        # The copy ledger gates exactly: an artifact that drops it must
+        # not load, or compare would skip the metric silently.
+        for metric in ("bytes_copied", "copies"):
+            bad = copy.deepcopy(sim_artifact)
+            del bad["planes"]["sim"]["zero_copy"][metric]
+            path = tmp_path / f"no_{metric}.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ArtifactError, match=metric):
+                load_artifact(path)
 
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -147,6 +158,26 @@ class TestCompare:
         report = compare_artifacts(drifted, sim_artifact)
         assert not report.ok
         assert any(d.metric == "chunks_written" for d in report.regressions)
+
+    def test_copy_metric_drift_fails(self, sim_artifact):
+        drifted = copy.deepcopy(sim_artifact)
+        drifted["planes"]["sim"]["zero_copy"]["bytes_copied"] += 1
+        drifted["planes"]["sim"]["zero_copy"]["copies"] += 1
+        report = compare_artifacts(drifted, sim_artifact)
+        assert not report.ok
+        assert sorted((d.scenario, d.metric) for d in report.regressions) == [
+            ("zero_copy", "bytes_copied"),
+            ("zero_copy", "copies"),
+        ]
+
+    def test_equal_copy_metrics_pass(self, sim_artifact):
+        new, base = copy.deepcopy(sim_artifact), copy.deepcopy(sim_artifact)
+        for art in (new, base):
+            art["planes"]["sim"]["zero_copy"]["bytes_copied"] = 4096
+            art["planes"]["sim"]["zero_copy"]["copies"] = 7
+        report = compare_artifacts(new, base)
+        assert report.ok
+        assert not report.regressions
 
     def test_missing_scenario_fails_gate(self, sim_artifact):
         shrunk = copy.deepcopy(sim_artifact)
@@ -310,8 +341,6 @@ class TestCLI:
 
 class TestCheckBaseline:
     def test_committed_baseline_is_structurally_sound(self):
-        from repro.perf.cli import check_baseline
-
         baseline = load_artifact("benchmarks/baselines/baseline.json")
         assert check_baseline(baseline) == []
 
@@ -322,8 +351,6 @@ class TestCheckBaseline:
     def test_missing_scenario_is_reported_and_exits_nonzero(
         self, tmp_path, capsys
     ):
-        from repro.perf.cli import check_baseline
-
         baseline = load_artifact("benchmarks/baselines/baseline.json")
         broken = copy.deepcopy(baseline)
         del broken["planes"]["sim"]["restart_storm"]
@@ -334,8 +361,6 @@ class TestCheckBaseline:
         assert "restart_storm" in capsys.readouterr().err
 
     def test_unknown_pinned_scenario_is_reported(self):
-        from repro.perf.cli import check_baseline
-
         baseline = copy.deepcopy(
             load_artifact("benchmarks/baselines/baseline.json")
         )
@@ -347,8 +372,6 @@ class TestCheckBaseline:
         )
 
     def test_disengaged_machinery_is_reported(self):
-        from repro.perf.cli import check_baseline
-
         baseline = copy.deepcopy(
             load_artifact("benchmarks/baselines/baseline.json")
         )
@@ -366,6 +389,38 @@ class TestCheckBaseline:
         missing = tmp_path / "absent.json"
         assert perf_main(["check-baseline", "--baseline", str(missing)]) == 2
         capsys.readouterr()
+
+
+class TestCheckBaselineZeroCopyPins:
+    def _baseline(self):
+        return copy.deepcopy(load_artifact("benchmarks/baselines/baseline.json"))
+
+    def test_committed_baseline_pins_zero_copy(self):
+        baseline = self._baseline()
+        assert check_baseline(baseline) == []
+        zc = baseline["planes"]["sim"]["zero_copy"]
+        assert zc["stats"]["mem"]["bytes_copied"] == zc["bytes_in"]
+
+    def test_extra_copies_are_reported(self):
+        baseline = self._baseline()
+        baseline["planes"]["sim"]["zero_copy"]["stats"]["mem"][
+            "bytes_copied"
+        ] += 1
+        problems = check_baseline(baseline)
+        assert any("exactly one" in p for p in problems)
+
+    def test_read_side_copies_in_a_write_only_scenario_are_reported(self):
+        baseline = self._baseline()
+        mem = baseline["planes"]["sim"]["zero_copy"]["stats"]["mem"]
+        mem["by_site"]["read_boundary"]["bytes"] = 512
+        problems = check_baseline(baseline)
+        assert any("read_boundary" in p for p in problems)
+
+    def test_missing_copy_metric_is_reported(self):
+        baseline = self._baseline()
+        del baseline["planes"]["sim"]["zero_copy"]["copy_ratio"]
+        problems = check_baseline(baseline)
+        assert any("copy_ratio" in p for p in problems)
 
 
 # -- restart storm: adaptive readahead under contention -----------------------

@@ -81,9 +81,7 @@ class TestRetryPolicy:
         assert d1 != RetryPolicy(attempts=4, seed=8).delay(1, "/f", 0)
 
     def test_delay_grows_and_caps(self):
-        p = RetryPolicy(
-            attempts=10, backoff=0.01, backoff_factor=2.0, backoff_max=0.05, jitter=0.0
-        )
+        p = RetryPolicy(attempts=10, backoff=0.01, backoff_max=0.05, jitter=0.0)
         delays = [p.delay(k, "/f", 0) for k in range(1, 6)]
         assert delays == [0.01, 0.02, 0.04, 0.05, 0.05]
 
@@ -104,9 +102,9 @@ class TestRetryPolicy:
         [
             dict(attempts=0),
             dict(backoff=-1.0),
-            dict(backoff_factor=0.5),
             dict(backoff_max=-0.1),
             dict(jitter=1.5),
+            dict(jitter=-0.1),
             dict(attempt_timeout=-1.0),
         ],
     )

@@ -38,7 +38,7 @@ from repro.errors import FileStateError
 from repro.perf.runner import run_scenario_sim
 from repro.perf.scenarios import SCENARIOS
 from repro.pipeline.copies import COPY_SITES, FETCH, INGEST, READ_BOUNDARY, CopyLedger
-from repro.pipeline.events import CopyObserved
+from repro.pipeline.events import ChunkFetched, ReadObserved, WriteObserved
 from repro.pipeline.stats import PipelineStats
 from repro.pipeline.tenancy import DRRScheduler
 from repro.units import KiB
@@ -69,13 +69,6 @@ class TestCopyLedger:
         for site in COPY_SITES:
             assert snap["by_site"][site] == {"copies": 0, "bytes": 0}
 
-    def test_unknown_site_admitted(self):
-        ledger = CopyLedger()
-        ledger.record("mystery", 9)
-        snap = ledger.snapshot()
-        assert snap["by_site"]["mystery"] == {"copies": 1, "bytes": 9}
-        assert snap["bytes_copied"] == 9
-
     def test_snapshot_is_independent(self):
         ledger = CopyLedger()
         ledger.record(FETCH, 4)
@@ -86,16 +79,35 @@ class TestCopyLedger:
 
 class TestStatsMemSection:
     def test_copy_events_feed_the_mem_section(self):
+        def write(length, write_through=False):
+            return WriteObserved(
+                path="/f", offset=0, length=length, start=0.0, duration=0.0,
+                write_through=write_through,
+            )
+
+        def read(copied):
+            return ReadObserved(
+                path="/f", offset=0, length=7, start=0.0, duration=0.0,
+                copied=copied,
+            )
+
         stats = PipelineStats(chunk_size=CHUNK, pool_chunks=4)
-        stats.on_event(CopyObserved(path="/f", site=INGEST, length=100))
-        stats.on_event(CopyObserved(path="/f", site=INGEST, length=28))
-        stats.on_event(CopyObserved(path="/f", site=FETCH, length=CHUNK))
+        for event in (
+            write(100),
+            write(28),
+            write(0),  # empty write: nothing ingested
+            write(CHUNK, write_through=True),  # bypasses the pool
+            read(7),
+            read(0),  # passthrough read: no pipeline copy
+            ChunkFetched(path="/f", file_offset=0, length=CHUNK),
+        ):
+            stats.on_event(event)
         mem = stats.snapshot()["mem"]
-        assert mem["copies"] == 3
-        assert mem["bytes_copied"] == 128 + CHUNK
+        assert mem["copies"] == 4
+        assert mem["bytes_copied"] == 128 + 7 + CHUNK
         assert mem["by_site"][INGEST] == {"copies": 2, "bytes": 128}
+        assert mem["by_site"][READ_BOUNDARY] == {"copies": 1, "bytes": 7}
         assert mem["by_site"][FETCH] == {"copies": 1, "bytes": CHUNK}
-        assert mem["by_site"][READ_BOUNDARY] == {"copies": 0, "bytes": 0}
 
     def test_idle_snapshot_keeps_full_schema(self):
         mem = PipelineStats().snapshot()["mem"]
