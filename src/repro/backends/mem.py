@@ -28,6 +28,28 @@ from .base import Backend, BackendStat, normalize_path, split_path
 __all__ = ["MemBackend"]
 
 
+def _splice(data: bytearray, offset: int, views: Sequence[memoryview]) -> None:
+    """Write ``views`` back to back into ``data`` at ``offset``.
+
+    A view that reaches the end of the file replaces the tail and grows
+    the bytearray in the same step, so appended bytes are copied once;
+    only a gap past EOF is zero-filled first (sparse-write semantics).
+    """
+    size = len(data)
+    if offset > size:
+        data.extend(bytes(offset - size))
+        size = offset
+    pos = offset
+    for v in views:
+        end = pos + v.nbytes
+        if end >= size:
+            data[pos:] = v
+            size = end
+        else:
+            data[pos:end] = v
+        pos = end
+
+
 class _FileNode:
     __slots__ = ("data", "lock", "nlink")
 
@@ -133,12 +155,8 @@ class MemBackend(Backend):
         length = view.nbytes
         if length == 0:  # POSIX: zero-length writes do not extend the file
             return 0
-        node = h.node
-        with node.lock:
-            end = offset + length
-            if end > len(node.data):
-                node.data.extend(b"\x00" * (end - len(node.data)))
-            node.data[offset:end] = view
+        with h.node.lock:
+            _splice(h.node.data, offset, (view,))
         self.total_pwrites += 1
         self.total_bytes_written += length
         return length
@@ -151,17 +169,9 @@ class MemBackend(Backend):
         total = sum(v.nbytes for v in vs)
         if total == 0:
             return 0
-        node = h.node
-        with node.lock:
-            end = offset + total
-            if end > len(node.data):
-                node.data.extend(b"\x00" * (end - len(node.data)))
-            # One zero-extend, then back-to-back splices — no b"".join
-            # materialization of the whole batch.
-            pos = offset
-            for v in vs:
-                node.data[pos : pos + v.nbytes] = v
-                pos += v.nbytes
+        with h.node.lock:
+            # Back-to-back splices — no b"".join of the whole batch.
+            _splice(h.node.data, offset, vs)
         # One backend op for the whole batch: the point of the gather.
         self.total_pwrites += 1
         self.total_bytes_written += total

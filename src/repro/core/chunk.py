@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+import numpy as np
+
 from ..errors import FileStateError
 from ..pipeline.planner import SealReason
 
@@ -24,11 +26,25 @@ class Chunk:
     writes it out -> (reset) FREE again.
     """
 
-    __slots__ = ("index", "buffer", "valid", "file_offset", "owner", "seal_reason")
+    __slots__ = (
+        "index",
+        "buffer",
+        "_array",
+        "valid",
+        "file_offset",
+        "owner",
+        "seal_reason",
+    )
 
     def __init__(self, index: int, size: int):
         self.index = index
         self.buffer = bytearray(size)
+        # A uint8 view of the same bytes for the ingest copy: numpy
+        # releases the GIL for the memcpy, so another rank's copy or an
+        # IO worker runs meanwhile.  The view also pins the bytearray's
+        # size: a resize raises BufferError instead of silently growing
+        # the pooled buffer.
+        self._array = np.frombuffer(self.buffer, dtype=np.uint8)
         self.valid = 0  # bytes of valid data ("size of valid data in the chunk")
         self.file_offset = 0  # "offset of this chunk in the original file"
         self.owner: Any = None  # "ownership identities" (the file entry)
@@ -57,10 +73,14 @@ class Chunk:
             raise FileStateError(
                 f"append at {chunk_offset} but chunk append point is {self.valid}"
             )
-        if length > self.room:
+        end = chunk_offset + length
+        if end > len(self.buffer):
             raise FileStateError(f"append of {length} overflows chunk (room {self.room})")
-        self.buffer[self.valid : self.valid + length] = data[:length]
-        self.valid += length
+        # Safe without the GIL (DESIGN.md §3k): the open chunk is touched
+        # only under its file's write_lock, and the buffer export pins
+        # ``data`` for the whole copy.
+        self._array[chunk_offset:end] = np.frombuffer(data, np.uint8, length)
+        self.valid = end
 
     def fill_external(self, length: int) -> None:
         """Declare ``length`` bytes already written into :attr:`buffer`

@@ -58,7 +58,7 @@ class DeltaCheckpointer:
         """
         norm = normalize_path(path)
         tracker = self.fs.kernel.delta(norm)
-        view = memoryview(image)
+        view = memoryview(image).cast("B")  # extents are byte ranges
         plan = tracker.plan_checkpoint(len(view), dirty)
 
         f = self.fs.open(

@@ -300,7 +300,7 @@ class CRFS:
     # -- write path ---------------------------------------------------------
 
     def _write(self, entry: FileEntry, data: bytes | memoryview, offset: int) -> int:
-        """Aggregate one write (Section IV-B).  Returns len(data).
+        """Aggregate one write (Section IV-B).  Returns the byte count.
 
         With ``write_through_threshold`` set, writes at least that large
         skip aggregation: the partial chunk is sealed first (preserving
@@ -310,15 +310,18 @@ class CRFS:
         and doubles as a recovery probe.
         """
         self._require_mounted()
-        view = memoryview(data)
+        # Sizes count bytes, not elements: a multi-byte-format buffer
+        # (array('i'), a float64 ndarray) is written whole.
+        view = memoryview(data).cast("B")
+        nbytes = len(view)
         t0 = self.kernel.clock()
         threshold = self.config.write_through_threshold
         degraded = self.health.degraded
-        if degraded or (threshold and len(view) >= threshold):
+        if degraded or (threshold and nbytes >= threshold):
             with entry.write_lock:
                 if entry.read_cache is not None:
-                    entry.read_cache.invalidate(offset, len(view))
-                for op in entry.pipeline.plan_write_through(offset, len(view)):
+                    entry.read_cache.invalidate(offset, nbytes)
+                for op in entry.pipeline.plan_write_through(offset, nbytes):
                     assert isinstance(op, Seal)
                     self._seal_current(entry, op)
                 if not degraded:
@@ -332,18 +335,18 @@ class CRFS:
                 # positional pwrites to disjoint offsets commute.
                 self._pwrite_degraded(entry, view, offset)
             entry.pipeline.note_write(
-                offset, len(view), start=t0, write_through=True, degraded=degraded
+                offset, nbytes, start=t0, write_through=True, degraded=degraded
             )
-            return len(view)
+            return nbytes
         with entry.write_lock:
             if entry.read_cache is not None:
                 # Cached chunks covering these bytes are stale the moment
                 # the write is accepted (reads go flush+drain first, but
                 # the cache would otherwise keep serving the old bytes).
-                entry.read_cache.invalidate(offset, len(view))
+                entry.read_cache.invalidate(offset, nbytes)
             # plan_write fails fast if a prior async write already failed —
             # writing more data into chunks would be silently lost.
-            ops = entry.pipeline.plan_write(offset, len(view))
+            ops = entry.pipeline.plan_write(offset, nbytes)
             for op in ops:
                 if isinstance(op, Fill):
                     if entry.current_chunk is None:
@@ -364,8 +367,8 @@ class CRFS:
                     )
                 else:  # Seal
                     self._seal_current(entry, op)
-        entry.pipeline.note_write(offset, len(view), start=t0)
-        return len(view)
+        entry.pipeline.note_write(offset, nbytes, start=t0)
+        return nbytes
 
     def _pwrite_degraded(
         self, entry: FileEntry, view: memoryview, offset: int

@@ -86,14 +86,19 @@ class FileClosed(PipelineEvent):
     tenant: str = "default"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WriteObserved(PipelineEvent):
     """One application ``write()`` was accepted (Section IV-B entry).
 
     ``degraded`` marks a write served synchronously because the backend
     circuit breaker is open (degraded writes are also write-through).
     An aggregated (not write-through) write of ``length > 0`` paid the
-    ``ingest`` copy of DESIGN.md §3k: user buffer → pooled chunk."""
+    ``ingest`` copy of DESIGN.md §3k: user buffer → pooled chunk.
+
+    Published once per ``write()``, so it fills its ``__dict__``
+    directly rather than paying the frozen dataclass ``__init__``'s
+    per-field ``object.__setattr__``; it stays immutable and compares
+    by value like every other event."""
 
     path: str
     offset: int
@@ -103,6 +108,27 @@ class WriteObserved(PipelineEvent):
     write_through: bool = False
     degraded: bool = False
     tenant: str = "default"
+
+    def __init__(
+        self,
+        path: str,
+        offset: int,
+        length: int,
+        start: float,
+        duration: float,
+        write_through: bool = False,
+        degraded: bool = False,
+        tenant: str = "default",
+    ):
+        d = self.__dict__
+        d["path"] = path
+        d["offset"] = offset
+        d["length"] = length
+        d["start"] = start
+        d["duration"] = duration
+        d["write_through"] = write_through
+        d["degraded"] = degraded
+        d["tenant"] = tenant
 
 
 @dataclass(frozen=True)

@@ -101,18 +101,26 @@ class FilePipeline:
     # -- planning (fail-fast + delegate to the shared planner) ----------------
 
     def _check_writable(self) -> None:
-        """Fail fast under the lock: a prior async write already failed;
-        accepting more data into chunks would silently lose it."""
-        if self._error is not None:
+        """Fail fast: a prior async write already failed; accepting more
+        data into chunks would silently lose it."""
+        error = self._error
+        if error is not None:
             raise BackendIOError(
-                f"{self.path}: earlier async chunk write failed: {self._error}"
-            ) from self._error
+                f"{self.path}: earlier async chunk write failed: {error}"
+            ) from error
 
     def plan_write(self, offset: int, length: int) -> list[PlanOp]:
-        """Plan one aggregated write; raises if an error is latched."""
-        with self._lock:
-            self._check_writable()
-            return self.planner.write(offset, length)
+        """Plan one aggregated write; raises if an error is latched.
+
+        Takes no lock, unlike the other ``plan_*`` calls: it runs once
+        per write().  The planner is touched only by the file's writer
+        (the threaded plane holds ``FileEntry.write_lock`` around this
+        call; the timing plane is single-threaded), and the latch check
+        is one attribute read — a write racing the completion that
+        latches is accepted exactly as if it had won the lock first.
+        """
+        self._check_writable()
+        return self.planner.write(offset, length)
 
     def plan_flush(self) -> list[PlanOp]:
         """Seal ops for the partial chunk (close()/fsync() path)."""

@@ -41,7 +41,13 @@ class SealReason(enum.Enum):
     FLUSH = "flush"  # close()/fsync() flushed a partial chunk
 
 
-@dataclass(frozen=True)
+# Fill and Seal are built once or more per write(), so they fill their
+# __dict__ directly instead of going through the frozen dataclass
+# __init__ (one object.__setattr__ per field).  Assignment still raises
+# FrozenInstanceError, and __eq__/__hash__/__repr__ stay generated.
+
+
+@dataclass(frozen=True, init=False)
 class Fill:
     """Copy ``length`` bytes of the current write into the open chunk.
 
@@ -55,8 +61,17 @@ class Fill:
     data_offset: int
     length: int
 
+    def __init__(
+        self, file_offset: int, chunk_offset: int, data_offset: int, length: int
+    ):
+        d = self.__dict__
+        d["file_offset"] = file_offset
+        d["chunk_offset"] = chunk_offset
+        d["data_offset"] = data_offset
+        d["length"] = length
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Seal:
     """The open chunk is complete: write ``length`` bytes at
     ``file_offset`` to the backing file, then recycle the chunk."""
@@ -64,6 +79,12 @@ class Seal:
     file_offset: int
     length: int
     reason: SealReason
+
+    def __init__(self, file_offset: int, length: int, reason: SealReason):
+        d = self.__dict__
+        d["file_offset"] = file_offset
+        d["length"] = length
+        d["reason"] = reason
 
 
 PlanOp = Union[Fill, Seal]
@@ -114,6 +135,17 @@ class WritePlanner:
         self.total_bytes += length
         if length == 0:
             return []
+        fill = self.chunk_fill
+        if fill + length < self.chunk_size and (
+            fill == 0 or offset == self.chunk_file_offset + fill
+        ):
+            # The common checkpoint case: the write lands at the append
+            # point (or opens a chunk) and fits without sealing — the
+            # loop below would emit exactly this one Fill.
+            if fill == 0:
+                self.chunk_file_offset = offset
+            self.chunk_fill = fill + length
+            return [Fill(offset, fill, 0, length)]
         ops: list[PlanOp] = []
         if self.chunk_fill > 0 and offset != self.append_point:
             # Out-of-order write: seal what we have so chunks stay contiguous.

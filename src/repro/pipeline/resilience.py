@@ -137,9 +137,13 @@ class BackendHealth:
 
     @property
     def degraded(self) -> bool:
-        """Whether the breaker is open (mount is in write-through)."""
-        with self._lock:
-            return self._degraded
+        """Whether the breaker is open (mount is in write-through).
+
+        Read without the lock: every write() asks, and the answer is
+        one attribute read.  A write racing a trip or recovery takes
+        whichever path the flag showed; both are correct.
+        """
+        return self._degraded
 
     @property
     def consecutive_failures(self) -> int:

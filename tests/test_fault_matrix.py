@@ -764,6 +764,16 @@ def tier_cell_functional(rules, attempts, nchunks=NCHUNKS, gated=False, batch=1)
             # staging is asynchronous: the write itself never raises
             f.write(bytes([i + 1]) * CHUNK)
         if gated:
+            # write() returns once the data is in chunks; the IO thread
+            # may still be staging them.  Open the gate only when tier 0
+            # holds the whole run (plus the gate file's chunk), so the
+            # pump's first gather sees every queued extent.  Staging
+            # accounts and enqueues under the tiered backend's lock,
+            # which the pump takes after the gate before it gathers.
+            deadline = time.monotonic() + 30
+            while fs.stats()["tiers"]["per_tier"]["0"]["chunks_staged"] < nchunks + 1:
+                assert time.monotonic() < deadline, "tier 0 never staged the run"
+                time.sleep(0.001)
             gate.set()
         try:
             f.fsync()  # durability through the deep tier
