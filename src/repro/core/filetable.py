@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..errors import FileStateError
-from ..pipeline import FilePipeline, Seal
+from ..pipeline import FilePipeline, PipelineKernel, Seal
 from ..pipeline.kernel import EmitFn
 from ..pipeline.tenancy import DEFAULT_TENANT
 from .chunk import Chunk
@@ -46,6 +46,7 @@ class FileEntry:
         emit: EmitFn | None = None,
         clock: Callable[[], float] | None = None,
         tenant: str = DEFAULT_TENANT,
+        kernel: Optional[PipelineKernel] = None,
     ):
         self.path = path
         self.backend_handle = backend_handle
@@ -65,7 +66,13 @@ class FileEntry:
         self._lock = threading.RLock()
         self._drain = threading.Condition(self._lock)
         self.pipeline = FilePipeline(
-            path, chunk_size, emit=emit, lock=self._lock, clock=clock, tenant=tenant
+            path,
+            chunk_size,
+            emit=emit,
+            lock=self._lock,
+            clock=clock,
+            tenant=tenant,
+            kernel=kernel,
         )
 
     # -- kernel passthrough ----------------------------------------------------
@@ -165,16 +172,22 @@ class OpenFileTable:
         with self._lock:
             return self._index.get(path)
 
-    def open(self, path: str, make_entry: Callable[[], FileEntry]) -> FileEntry:
+    def open(
+        self, path: str, make_entry: Callable[[], FileEntry], truncate: bool = False
+    ) -> FileEntry:
         """Get-or-create the entry for ``path``; bumps the refcount.
 
         ``make_entry`` is called (under the table lock) only when the path
         is not already open — it should open the backend file and return a
         FileEntry; the entry's own ``tenant`` decides its partition.
+        Joining an open path with ``truncate`` raises ``FileStateError``:
+        its bytes may still be in chunks, so they cannot be dropped.
         """
         with self._lock:
             entry = self._index.get(path)
             if entry is not None:
+                if truncate:
+                    raise FileStateError(f"{path} is open through CRFS; close it before truncating")
                 entry.refcount += 1
                 return entry
             entry = make_entry()
@@ -182,6 +195,20 @@ class OpenFileTable:
             shard = self._shards.setdefault(entry.tenant, {})
             shard[path] = entry
             return entry
+
+    def unless_open(self, paths: Iterable[str], action: Callable[[], None]) -> None:
+        """Run ``action`` unless one of ``paths`` is open; raises
+        ``FileStateError`` if one is.
+
+        The check and ``action`` both run under the table lock, so no
+        open() can join or create an entry for these paths in between
+        (open builds entries under the same lock).
+        """
+        with self._lock:
+            for path in paths:
+                if path in self._index:
+                    raise FileStateError(f"{path} is open through CRFS; close it first")
+            action()
 
     def close(self, path: str) -> tuple[FileEntry, bool]:
         """Drop one reference; returns (entry, was_last).  The caller

@@ -97,11 +97,14 @@ class CRFSFile:
         return self._pos
 
     def size(self) -> int:
-        """Logical file size: backend size or the aggregation append
-        point, whichever is larger (buffered bytes count)."""
+        """Logical file size: the largest of the backend size, the
+        aggregation append point and the end of the furthest sealed
+        chunk (buffered and in-flight bytes count, also after a
+        rewind)."""
         self._check_open()
         backend_size = self._fs.backend.file_size(self._entry.backend_handle)
-        return max(backend_size, self._entry.planner.append_point)
+        planner = self._entry.planner
+        return max(backend_size, planner.append_point, planner.sealed_end)
 
     # -- durability ---------------------------------------------------------
 

@@ -43,6 +43,7 @@ from ..pipeline.readahead import ReadaheadCore
 from ..pipeline.resilience import BackendHealth, run_attempts
 from ..pipeline.tenancy import DRRScheduler, PoolLedger
 from .buffer_pool import BufferPool
+from .chunk import Chunk
 from .delta import DeltaCheckpointer
 from .filetable import FileEntry, OpenFileTable
 from .handle import CRFSFile
@@ -234,7 +235,9 @@ class CRFS:
 
         Mirrors the paper's open path: look up the hash table; bump the
         refcount if already open, otherwise insert a fresh entry and
-        open/create the backing file.
+        open/create the backing file.  ``truncate`` on a path that is
+        already open raises :class:`FileStateError`, like
+        :meth:`truncate` does.
 
         ``tenant`` pins the open to a tenant explicitly; by default the
         mount's :class:`~repro.pipeline.tenancy.TenantRegistry` maps the
@@ -256,6 +259,7 @@ class CRFS:
                 emit=self.kernel.emit,
                 clock=self.kernel.clock,
                 tenant=resolved,
+                kernel=self.kernel,
             )
             if self.config.read_cache_chunks > 0:
                 entry.read_cache = ReadCache(
@@ -278,7 +282,7 @@ class CRFS:
                 )
             return entry
 
-        entry = self.table.open(norm, make_entry)
+        entry = self.table.open(norm, make_entry, truncate=truncate)
         return CRFSFile(self, entry)
 
     def _close_entry(self, entry: FileEntry, timeout: float = 60.0) -> None:
@@ -344,31 +348,45 @@ class CRFS:
                 # the write is accepted (reads go flush+drain first, but
                 # the cache would otherwise keep serving the old bytes).
                 entry.read_cache.invalidate(offset, nbytes)
-            # plan_write fails fast if a prior async write already failed —
-            # writing more data into chunks would be silently lost.
-            ops = entry.pipeline.plan_write(offset, nbytes)
-            for op in ops:
-                if isinstance(op, Fill):
-                    if entry.current_chunk is None:
-                        if self.pool.free_chunks == 0:
-                            # Read-cache leases draw on this same pool; a
-                            # fully populated cache (capacity >= pool) can
-                            # otherwise pin every chunk and starve the
-                            # writer forever.  The cache is advisory — a
-                            # blocked writer is not — so shed it first.
-                            self._shed_read_caches()
-                        chunk = self.pool.acquire(tenant=entry.tenant)
-                        chunk.open_for(entry, op.file_offset - op.chunk_offset)
-                        entry.current_chunk = chunk
-                    entry.current_chunk.append(
-                        view[op.data_offset : op.data_offset + op.length],
-                        op.chunk_offset,
-                        op.length,
-                    )
-                else:  # Seal
-                    self._seal_current(entry, op)
+            # Both plan calls fail fast if a prior async write already
+            # failed — writing more data into chunks would be silently lost.
+            chunk_offset = entry.pipeline.plan_append(offset, nbytes)
+            if chunk_offset >= 0:
+                # The common write: one copy into the open chunk.
+                chunk = entry.current_chunk
+                if chunk is None:
+                    chunk = self._open_chunk(entry, offset - chunk_offset)
+                chunk.append(view, chunk_offset, nbytes)
+            else:
+                for op in entry.pipeline.plan_write(offset, nbytes):
+                    if isinstance(op, Fill):
+                        chunk = entry.current_chunk
+                        if chunk is None:
+                            chunk = self._open_chunk(entry, op.file_offset - op.chunk_offset)
+                        chunk.append(
+                            view[op.data_offset : op.data_offset + op.length],
+                            op.chunk_offset,
+                            op.length,
+                        )
+                    else:  # Seal
+                        self._seal_current(entry, op)
         entry.pipeline.note_write(offset, nbytes, start=t0)
         return nbytes
+
+    def _open_chunk(self, entry: FileEntry, file_offset: int) -> Chunk:
+        """Acquire a pool chunk and open it for ``entry`` at
+        ``file_offset`` (caller holds write_lock); blocks while the
+        pool is exhausted — the write path's backpressure point."""
+        if self.pool.free_chunks == 0:
+            # Read-cache leases draw on this same pool; a fully populated
+            # cache (capacity >= pool) can otherwise pin every chunk and
+            # starve the writer forever.  The cache is advisory — a
+            # blocked writer is not — so shed it first.
+            self._shed_read_caches()
+        chunk = self.pool.acquire(tenant=entry.tenant)
+        chunk.open_for(entry, file_offset)
+        entry.current_chunk = chunk
+        return chunk
 
     def _pwrite_degraded(
         self, entry: FileEntry, view: memoryview, offset: int
@@ -514,12 +532,11 @@ class CRFS:
     def unlink(self, path: str) -> None:
         self._require_mounted()
         norm = normalize_path(path)
-        if self.table.lookup(norm) is not None:
-            # An open CRFS file may still have chunks in flight whose
-            # pwrites would recreate confusion; the paper's workload never
-            # unlinks open checkpoints, so we refuse loudly.
-            raise FileStateError(f"{norm} is open through CRFS; close it first")
-        self.backend.unlink(norm)
+        # An open CRFS file may still have chunks in flight whose
+        # pwrites would recreate confusion; the paper's workload never
+        # unlinks open checkpoints, so we refuse loudly.  The check and
+        # the unlink are one step: an open() cannot slip in between.
+        self.table.unless_open([norm], lambda: self.backend.unlink(norm))
 
     def mkdir(self, path: str) -> None:
         self._require_mounted()
@@ -534,16 +551,16 @@ class CRFS:
         return self.backend.listdir(normalize_path(path))
 
     def rename(self, old: str, new: str) -> None:
+        """Refused while either path is open: renaming over an open file
+        would strand its chunks on the replaced file."""
         self._require_mounted()
-        if self.table.lookup(normalize_path(old)) is not None:
-            raise FileStateError(f"{old} is open through CRFS; close it first")
-        self.backend.rename(normalize_path(old), normalize_path(new))
+        src, dst = normalize_path(old), normalize_path(new)
+        self.table.unless_open([src, dst], lambda: self.backend.rename(src, dst))
 
     def truncate(self, path: str, size: int) -> None:
         self._require_mounted()
-        if self.table.lookup(normalize_path(path)) is not None:
-            raise FileStateError(f"{path} is open through CRFS; close it first")
-        self.backend.truncate(normalize_path(path), size)
+        norm = normalize_path(path)
+        self.table.unless_open([norm], lambda: self.backend.truncate(norm, size))
 
     # -- introspection -----------------------------------------------------------
 

@@ -86,7 +86,7 @@ class FileClosed(PipelineEvent):
     tenant: str = "default"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class WriteObserved(PipelineEvent):
     """One application ``write()`` was accepted (Section IV-B entry).
 
@@ -95,10 +95,9 @@ class WriteObserved(PipelineEvent):
     An aggregated (not write-through) write of ``length > 0`` paid the
     ``ingest`` copy of DESIGN.md §3k: user buffer → pooled chunk.
 
-    Published once per ``write()``, so it fills its ``__dict__``
-    directly rather than paying the frozen dataclass ``__init__``'s
-    per-field ``object.__setattr__``; it stays immutable and compares
-    by value like every other event."""
+    A mount builds it only when its kernel has a subscriber besides
+    the stats registry; with none, the write is counted by
+    :meth:`~repro.pipeline.stats.PipelineStats.count_write` directly."""
 
     path: str
     offset: int
@@ -108,27 +107,6 @@ class WriteObserved(PipelineEvent):
     write_through: bool = False
     degraded: bool = False
     tenant: str = "default"
-
-    def __init__(
-        self,
-        path: str,
-        offset: int,
-        length: int,
-        start: float,
-        duration: float,
-        write_through: bool = False,
-        degraded: bool = False,
-        tenant: str = "default",
-    ):
-        d = self.__dict__
-        d["path"] = path
-        d["offset"] = offset
-        d["length"] = length
-        d["start"] = start
-        d["duration"] = duration
-        d["write_through"] = write_through
-        d["degraded"] = degraded
-        d["tenant"] = tenant
 
 
 @dataclass(frozen=True)

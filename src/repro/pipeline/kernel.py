@@ -15,7 +15,9 @@ Split of responsibilities:
   decide what happens (fail-fast on a latched error, then delegate to
   the shared :class:`~repro.pipeline.planner.WritePlanner`);
   ``note_*`` methods account for what the plane executed and publish
-  the matching event on the unified stream.  The drain *predicate*
+  the matching event on the unified stream — except that
+  ``note_write`` counts a write straight into the stats registry, and
+  builds no event, when nothing else subscribed.  The drain *predicate*
   (``drained``) and the raise-exactly-once error contract
   (:meth:`FilePipeline.raise_latched`) live here; how a caller blocks
   until drained is the plane's business (condition variables vs. sim
@@ -76,7 +78,9 @@ class FilePipeline:
     functional plane passes the :class:`threading.RLock` its drain
     condition is built on, the timing plane passes nothing (virtual
     time needs no lock).  ``clock`` supplies event timestamps:
-    ``time.perf_counter`` or the simulator's ``now``.
+    ``time.perf_counter`` or the simulator's ``now``.  ``kernel``, the
+    mount's :class:`PipelineKernel`, lets :meth:`note_write` skip the
+    event when only the kernel's stats registry would receive it.
     """
 
     def __init__(
@@ -87,10 +91,12 @@ class FilePipeline:
         lock: Any = None,
         clock: Callable[[], float] | None = None,
         tenant: str = "default",
+        kernel: "PipelineKernel | None" = None,
     ):
         self.path = path
         self.tenant = tenant
         self.planner = WritePlanner(chunk_size)
+        self._kernel = kernel
         self.clock = clock if clock is not None else time.perf_counter
         self._emit = emit if emit is not None else _no_emit
         self._lock = lock if lock is not None else _NullLock()
@@ -122,6 +128,14 @@ class FilePipeline:
         self._check_writable()
         return self.planner.write(offset, length)
 
+    def plan_append(self, offset: int, length: int) -> int:
+        """The in-place append (:meth:`WritePlanner.append`): the chunk
+        offset to copy the write to, or -1 if it needs :meth:`plan_write`.
+        Raises if an error is latched; takes no lock, like
+        :meth:`plan_write`."""
+        self._check_writable()
+        return self.planner.append(offset, length)
+
     def plan_flush(self) -> list[PlanOp]:
         """Seal ops for the partial chunk (close()/fsync() path)."""
         with self._lock:
@@ -151,7 +165,17 @@ class FilePipeline:
         rather than from each ``Chunk.append`` call.  Write-through
         bypasses aggregation and hands the caller's view straight to
         the backend: no pipeline copy.
+
+        The event is built only when the kernel has a subscriber
+        besides its stats registry — checked on every write, so an
+        observer subscribed after the file opened sees the next one.
+        Otherwise the write is counted straight into the registry.
+        Either way it is counted exactly once.
         """
+        kernel = self._kernel
+        if kernel is not None and not kernel.subscribers:
+            kernel.stats.count_write(length, self.tenant, write_through, degraded)
+            return
         now = self.clock()
         if start is None:
             start = now
@@ -401,17 +425,19 @@ class PipelineKernel:
             tiers=tiers,
             fsync_tier=fsync_tier,
         )
-        self._observers: list[PipelineObserver] = [self.stats, *observers]
+        #: Observers besides the stats registry, in subscription order.
+        self.subscribers: list[PipelineObserver] = list(observers)
         # Per-path delta-checkpoint generation chains (created lazily;
         # non-delta mounts never populate this).
         self._deltas: dict[str, DeltaTracker] = {}
 
     def subscribe(self, observer: PipelineObserver) -> None:
         """Attach an observer to the unified event stream."""
-        self._observers.append(observer)
+        self.subscribers.append(observer)
 
     def emit(self, event: PipelineEvent) -> None:
-        for observer in self._observers:
+        self.stats.on_event(event)
+        for observer in self.subscribers:
             observer.on_event(event)
 
     def file(
@@ -425,6 +451,7 @@ class PipelineKernel:
             lock=lock,
             clock=self.clock,
             tenant=tenant,
+            kernel=self,
         )
 
     def delta(self, path: str) -> DeltaTracker:

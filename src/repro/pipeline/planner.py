@@ -41,13 +41,7 @@ class SealReason(enum.Enum):
     FLUSH = "flush"  # close()/fsync() flushed a partial chunk
 
 
-# Fill and Seal are built once or more per write(), so they fill their
-# __dict__ directly instead of going through the frozen dataclass
-# __init__ (one object.__setattr__ per field).  Assignment still raises
-# FrozenInstanceError, and __eq__/__hash__/__repr__ stay generated.
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Fill:
     """Copy ``length`` bytes of the current write into the open chunk.
 
@@ -61,17 +55,8 @@ class Fill:
     data_offset: int
     length: int
 
-    def __init__(
-        self, file_offset: int, chunk_offset: int, data_offset: int, length: int
-    ):
-        d = self.__dict__
-        d["file_offset"] = file_offset
-        d["chunk_offset"] = chunk_offset
-        d["data_offset"] = data_offset
-        d["length"] = length
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Seal:
     """The open chunk is complete: write ``length`` bytes at
     ``file_offset`` to the backing file, then recycle the chunk."""
@@ -79,12 +64,6 @@ class Seal:
     file_offset: int
     length: int
     reason: SealReason
-
-    def __init__(self, file_offset: int, length: int, reason: SealReason):
-        d = self.__dict__
-        d["file_offset"] = file_offset
-        d["length"] = length
-        d["reason"] = reason
 
 
 PlanOp = Union[Fill, Seal]
@@ -106,6 +85,9 @@ class WritePlanner:
         self.chunk_size = chunk_size
         self.chunk_file_offset = 0  # file position of the open chunk
         self.chunk_fill = 0  # valid bytes in the open chunk
+        # End of the furthest chunk ever sealed: a sealed chunk may
+        # still be in flight, so the backend's size can lag it.
+        self.sealed_end = 0
         # -- lifetime stats
         self.total_writes = 0
         self.total_bytes = 0
@@ -125,8 +107,34 @@ class WritePlanner:
 
     # -- operations -----------------------------------------------------------
 
+    def append(self, offset: int, length: int) -> int:
+        """The in-place append: the common checkpoint write.
+
+        When the write lands at the append point (or opens a chunk),
+        fits without sealing and is not empty, account it and return
+        the chunk offset to copy it to — :meth:`write` would plan
+        exactly one :class:`Fill` there.  Otherwise change nothing and
+        return -1; the caller falls back to :meth:`write`.
+        """
+        fill = self.chunk_fill
+        if (
+            length > 0
+            and fill + length < self.chunk_size
+            and (offset == self.chunk_file_offset + fill if fill else offset >= 0)
+        ):
+            if not fill:
+                self.chunk_file_offset = offset
+            self.chunk_fill = fill + length
+            self.total_writes += 1
+            self.total_bytes += length
+            return fill
+        return -1
+
     def write(self, offset: int, length: int) -> list[PlanOp]:
         """Plan one ``write(offset, length)``; returns ordered Fill/Seal ops."""
+        chunk_offset = self.append(offset, length)
+        if chunk_offset >= 0:
+            return [Fill(offset, chunk_offset, 0, length)]
         if offset < 0:
             raise ValueError(f"negative offset: {offset}")
         if length < 0:
@@ -135,17 +143,6 @@ class WritePlanner:
         self.total_bytes += length
         if length == 0:
             return []
-        fill = self.chunk_fill
-        if fill + length < self.chunk_size and (
-            fill == 0 or offset == self.chunk_file_offset + fill
-        ):
-            # The common checkpoint case: the write lands at the append
-            # point (or opens a chunk) and fits without sealing — the
-            # loop below would emit exactly this one Fill.
-            if fill == 0:
-                self.chunk_file_offset = offset
-            self.chunk_fill = fill + length
-            return [Fill(offset, fill, 0, length)]
         ops: list[PlanOp] = []
         if self.chunk_fill > 0 and offset != self.append_point:
             # Out-of-order write: seal what we have so chunks stay contiguous.
@@ -206,5 +203,7 @@ class WritePlanner:
         self.sealed_chunks += 1
         self.seal_reasons[reason] += 1
         self.chunk_file_offset += self.chunk_fill
+        if self.chunk_file_offset > self.sealed_end:
+            self.sealed_end = self.chunk_file_offset
         self.chunk_fill = 0
         return seal

@@ -3,10 +3,12 @@
 One instance per mount, shared by every pipeline component (file
 pipelines, buffer pool, work queue, IO workers) on *either* plane.  All
 counters are derived from the unified event stream in :meth:`on_event`
-and bumped under one lock, so :meth:`snapshot` returns one atomic,
-mutually-consistent view — the functional plane's ``CRFS.stats()`` and
-the timing plane's ``SimCRFS.stats()`` both return exactly this schema,
-which the cross-plane differential tests compare field-for-field.
+(the write counters in :meth:`count_write`, which a write calls
+directly when no other observer listens) and bumped under one lock, so
+:meth:`snapshot` returns one atomic, mutually-consistent view — the
+functional plane's ``CRFS.stats()`` and the timing plane's
+``SimCRFS.stats()`` both return exactly this schema, which the
+cross-plane differential tests compare field-for-field.
 """
 
 from __future__ import annotations
@@ -264,22 +266,40 @@ class PipelineStats(PipelineObserver):
 
     # -- event intake ---------------------------------------------------------
 
-    def on_event(self, event: PipelineEvent) -> None:
+    def count_write(
+        self,
+        length: int,
+        tenant: str = "default",
+        write_through: bool = False,
+        degraded: bool = False,
+    ) -> None:
+        """Count one application ``write()`` — the only code that moves
+        the write counters.
+
+        ``FilePipeline.note_write`` calls it directly when nothing but
+        this registry listens, so a write costs no event; otherwise the
+        write arrives as a ``WriteObserved`` through :meth:`on_event`.
+        """
         with self._lock:
-            if isinstance(event, WriteObserved):
-                self.writes += 1
-                self.bytes_in += event.length
-                if event.write_through:
-                    self.write_through_bytes += event.length
-                elif event.length > 0:
-                    self.copies.record(INGEST, event.length)
-                if event.degraded:
-                    self.degraded_writes += 1
-                    self.degraded_bytes += event.length
-                t = self._tenant(event.tenant)
-                t["writes"] += 1
-                t["bytes_in"] += event.length
-            elif isinstance(event, ChunkSealed):
+            self.writes += 1
+            self.bytes_in += length
+            if write_through:
+                self.write_through_bytes += length
+            elif length > 0:
+                self.copies.record(INGEST, length)
+            if degraded:
+                self.degraded_writes += 1
+                self.degraded_bytes += length
+            t = self._tenant(tenant)
+            t["writes"] += 1
+            t["bytes_in"] += length
+
+    def on_event(self, event: PipelineEvent) -> None:
+        if isinstance(event, WriteObserved):
+            self.count_write(event.length, event.tenant, event.write_through, event.degraded)
+            return
+        with self._lock:
+            if isinstance(event, ChunkSealed):
                 self.seal_counts[event.reason] += 1
                 self._tenant(event.tenant)["chunks_queued"] += 1
             elif isinstance(event, ChunkWritten):

@@ -412,25 +412,33 @@ class SimCRFS:
             yield self.sim.timeout(self.hw.fuse_request_overhead)
             if request >= PAGE:
                 yield self.membus.transfer(request)
-            for op in f.pipeline.plan_write(f.pos, request):
-                if isinstance(op, Fill):
-                    if not f.has_chunk:
-                        # backpressure point
-                        waited = self._pool_would_wait(f.tenant)
-                        if waited:
-                            # Read-cache leases draw on this pool; shed
-                            # them before parking the writer (mirror of
-                            # CRFS._shed_read_caches) or a full cache
-                            # deadlocks the virtual clock.
-                            self._shed_read_caches()
-                            waited = self._pool_would_wait(f.tenant)
-                        yield self._pool_acquire(f.tenant)
-                        self._note_pool_acquired(f.tenant, waited)
-                        f.has_chunk = True
-                else:
-                    yield from self._seal(f, op)
+            if f.pipeline.plan_append(f.pos, request) >= 0:
+                # The common write: the copy was costed above.
+                if not f.has_chunk:
+                    yield from self._open_chunk(f)
+            else:
+                for op in f.pipeline.plan_write(f.pos, request):
+                    if isinstance(op, Fill):
+                        if not f.has_chunk:
+                            yield from self._open_chunk(f)
+                    else:
+                        yield from self._seal(f, op)
             f.pos += request
         f.pipeline.note_write(offset0, nbytes, start=t0)
+
+    def _open_chunk(self, f: SimCRFSFile):
+        """Generator: acquire a pool chunk for ``f`` — the write path's
+        backpressure point (mirror of ``CRFS._open_chunk``)."""
+        waited = self._pool_would_wait(f.tenant)
+        if waited:
+            # Read-cache leases draw on this pool; shed them before
+            # parking the writer (mirror of CRFS._shed_read_caches) or a
+            # full cache deadlocks the virtual clock.
+            self._shed_read_caches()
+            waited = self._pool_would_wait(f.tenant)
+        yield self._pool_acquire(f.tenant)
+        self._note_pool_acquired(f.tenant, waited)
+        f.has_chunk = True
 
     def flush(self, f: SimCRFSFile):
         """Generator: seal the partial chunk (close/fsync path)."""

@@ -1,12 +1,14 @@
-"""Property suite: the planner's single-fill fast path changes nothing.
+"""Property suite: the planner's in-place append changes nothing.
 
-``WritePlanner.write`` returns its one ``Fill`` directly when a write
-lands at the append point (or opens a chunk) and fits without sealing.
-:class:`LoopPlanner` keeps the general loop as the only path.  Over
-random sequences of writes — gaps, rewinds, zero-length writes, writes
-spanning several chunks, interleaved flushes and write-through notes —
-both planners must emit the same ops, op for op, and keep the same
-counters and append point after every call.
+``WritePlanner.append`` accounts a write in place when it lands at the
+append point (or opens a chunk) and fits without sealing;
+``WritePlanner.write`` tries it first.  :class:`LoopPlanner` keeps the
+general loop as the only path.  Over random sequences of writes — gaps,
+rewinds, zero-length writes, writes spanning several chunks,
+interleaved flushes and write-through notes — the planners must emit
+the same ops, op for op, and keep the same counters and append point
+after every call, whether the caller goes through ``write`` or, as the
+mounts do, ``append`` first and ``write`` on a miss.
 """
 
 import pytest
@@ -66,6 +68,7 @@ def state(p: WritePlanner) -> tuple:
         p.total_bytes,
         p.sealed_chunks,
         dict(p.seal_reasons),
+        p.sealed_end,
     )
 
 
@@ -102,6 +105,43 @@ def test_fast_path_matches_loop(chunk_size, steps):
         assert state(fast) == state(loop)
     assert fast.flush() == loop.flush()
     assert state(fast) == state(loop)
+
+
+def append_else_write(p: WritePlanner, offset: int, length: int) -> list[PlanOp]:
+    """The mounts' call sequence, as the ops it stands for."""
+    before = state(p)
+    chunk_offset = p.append(offset, length)
+    if chunk_offset >= 0:
+        return [Fill(offset, chunk_offset, 0, length)]
+    assert state(p) == before  # a miss changes nothing
+    return p.write(offset, length)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chunk_size=CHUNK_SIZES, steps=_steps)
+def test_append_else_write_matches_loop(chunk_size, steps):
+    mount, loop = WritePlanner(chunk_size), LoopPlanner(chunk_size)
+    for step in steps:
+        if step[0] == "flush":
+            assert mount.flush() == loop.flush()
+        else:
+            kind, where, n = step
+            offset = max(0, loop.append_point + where)
+            if kind == "write":
+                assert append_else_write(mount, offset, n) == loop.write(offset, n)
+            else:
+                assert mount.note_external_write(offset, n) == loop.note_external_write(offset, n)
+        assert state(mount) == state(loop)
+
+
+@pytest.mark.parametrize("offset,length", [(-1, 5), (0, -1), (-3, 0)])
+def test_append_rejects_what_write_rejects(offset, length):
+    p = WritePlanner(64)
+    before = state(p)
+    assert p.append(offset, length) == -1
+    assert state(p) == before
+    with pytest.raises(ValueError):
+        p.write(offset, length)
 
 
 @settings(max_examples=200, deadline=None)

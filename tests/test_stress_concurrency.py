@@ -408,3 +408,98 @@ class TestGilFreeIngest:
             t.join(timeout=10)
         assert bytes(chunk.payload()[-4:]) == b"\x5a" * 4
         assert max(progress) > 0, progress
+
+
+@pytest.mark.timeout(120)
+class TestSubscriberJoinsMidRun:
+    """Writes skip the event bus until someone subscribes.  Writers on
+    one shared file and on their own files keep going while an observer
+    attaches: every byte lands, every write is counted exactly once,
+    and the observer sees every write that started after it attached
+    and none that finished before."""
+
+    NWRITERS = 4
+    SIZES = [1, 700, 3, 5 * KiB, 17, CHUNK + 5, 64]
+
+    def stream(self, i: int) -> bytes:
+        return random.Random(100 + i).randbytes(sum(self.SIZES) * 6)
+
+    def test_byte_exact_and_counted_once(self):
+        from repro.pipeline import PipelineObserver, WriteObserved
+
+        class Writes(PipelineObserver):
+            def __init__(self):
+                self.seen = 0
+                self.lock = threading.Lock()
+
+            def on_event(self, event):
+                if isinstance(event, WriteObserved):
+                    with self.lock:
+                        self.seen += 1
+
+        mem = MemBackend()
+        # Five files hold an open chunk each; a pool smaller than that
+        # would park every writer on a chunk no one can seal.
+        cfg = CRFSConfig(chunk_size=CHUNK, pool_size=8 * CHUNK, io_threads=2)
+        fs = CRFS(mem, cfg).mount()
+        shared = fs.open("/shared.img")
+        span = len(self.stream(0))
+        observer = Writes()
+        attaching, attached = threading.Event(), threading.Event()
+        # per writer: [writes, finished before attaching, started after attached]
+        tally = [[0, 0, 0] for _ in range(self.NWRITERS)]
+        failures = []
+
+        def write(i, fn, *args):
+            late = attached.is_set()
+            fn(*args)
+            t = tally[i]
+            t[0] += 1
+            t[1] += not attaching.is_set()
+            t[2] += late
+
+        def writer(i):
+            data = self.stream(i)
+            try:
+                with fs.open(f"/rank{i}.img") as own:
+                    pos, k = 0, i
+                    while pos < len(data):
+                        piece = memoryview(data)[pos : pos + self.SIZES[k % len(self.SIZES)]]
+                        write(i, own.write, piece)
+                        write(i, shared.pwrite, piece, i * span + pos)
+                        pos += len(piece)
+                        k += 1
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                failures.append(f"writer{i}: {exc!r}")
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(self.NWRITERS)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            while min(t[0] for t in tally) < 20 and time.monotonic() < deadline:
+                time.sleep(0.0005)
+            attaching.set()
+            fs.kernel.subscribe(observer)
+            attached.set()
+            for t in threads:
+                t.join(timeout=90)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads), "writers hung"
+        assert not failures, failures
+        shared.close()
+        stats = fs.stats()
+        fs.unmount()
+
+        total, before, late = (sum(col) for col in zip(*tally))
+        assert 0 < late <= observer.seen <= total - before < total
+        assert stats["writes"] == total
+        assert stats["bytes_in"] == stats["mem"]["bytes_copied"] == 2 * self.NWRITERS * span
+        for i in range(self.NWRITERS):
+            assert mem.read_file(f"/rank{i}.img") == self.stream(i), f"rank{i}"
+        assert mem.read_file("/shared.img") == b"".join(
+            self.stream(i) for i in range(self.NWRITERS)
+        )

@@ -12,7 +12,6 @@ write and ``MemBackend``'s append.
 
 import array
 import dataclasses
-import inspect
 import random
 
 import numpy as np
@@ -137,20 +136,6 @@ class TestFrozenValues:
         with pytest.raises(dataclasses.FrozenInstanceError):
             del a.length
         assert a.length == 10
-
-    @pytest.mark.parametrize("cls", [Fill, Seal, WriteObserved])
-    def test_init_covers_every_field(self, cls):
-        """The hand-written ``__init__`` takes every field, in order and
-        with the field's default, and sets each one on the instance."""
-        fields = dataclasses.fields(cls)
-        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-        assert [p.name for p in params] == [f.name for f in fields]
-        for p, f in zip(params, fields):
-            expected = inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
-            assert p.default == expected, f.name
-        required = [f for f in fields if f.default is dataclasses.MISSING]
-        obj = cls(*range(len(required)))
-        assert set(vars(obj)) == {f.name for f in fields}
 
     def test_write_observed_defaults(self):
         ev = WriteObserved("/f", 0, 10, 1.0, 0.5)
