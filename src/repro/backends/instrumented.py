@@ -50,7 +50,7 @@ class PipelineOpRecorder(PipelineObserver):
     """Op log built from the unified pipeline event stream.
 
     Event-to-op mapping: ``WriteObserved`` -> ``"write"`` (or
-    ``"write_through"``), ``ChunkSealed`` -> ``"seal"`` (offset/size are
+    ``"write_through"`` when degraded), ``ChunkSealed`` -> ``"seal"`` (offset/size are
     the sealed chunk's), ``ChunkWritten`` -> ``"chunk_write"`` (or
     ``"chunk_error"``), ``FileOpened``/``FileClosed`` -> ``"open"`` /
     ``"close"``.  Timestamps are in the emitting plane's clock.
@@ -63,7 +63,7 @@ class PipelineOpRecorder(PipelineObserver):
     def on_event(self, event: PipelineEvent) -> None:
         if isinstance(event, WriteObserved):
             rec = OpRecord(
-                op="write_through" if event.write_through else "write",
+                op="write_through" if event.degraded else "write",
                 path=event.path,
                 size=event.length,
                 offset=event.offset,

@@ -281,7 +281,6 @@ class TieredBackend(Backend):
             attempt,
             path=handle.path,
             file_offset=offset,
-            clock=self._clock,
             health=self._healths[tier],
             on_retry=lambda attempt_no, delay, exc: self._core.retried(
                 tier, handle.path, offset, attempt_no, delay, exc

@@ -10,6 +10,12 @@ Mirrors the tunables the paper exposes at mount time (Section IV/V-B):
   finds 4 to be the sweet spot and uses it throughout.
 
 The defaults here are the paper's chosen operating point.
+
+Some behaviour is fixed rather than configurable: the work queue is
+bounded only by the pool (and per-tenant quotas), every write aggregates
+unless the circuit breaker is open, a delta generation commits only
+after its manifest is fsynced, and retry jitter draws from the fixed
+:data:`~repro.pipeline.resilience.RETRY_SEED`.
 """
 
 from __future__ import annotations
@@ -35,10 +41,6 @@ class CRFSConfig:
     pool_size: int = 16 * MiB
     #: Number of IO worker threads draining the work queue (paper: 4).
     io_threads: int = 4
-    #: Maximum queued chunks in the work queue; 0 means unbounded.  The
-    #: paper's design is implicitly bounded by the pool (a chunk must be
-    #: allocated before it can be queued), so the default keeps that.
-    work_queue_depth: int = 0
     #: Whether read() passes straight through to the backend (paper
     #: behaviour: "we directly pass it to the underlying filesystem").
     #: With False, a read first flushes and drains the file's pending
@@ -64,12 +66,6 @@ class CRFSConfig:
     #: dropped on a starved pool, delivered prefetches wasted.  False
     #: (the default) keeps the window pinned at ``readahead_chunks``.
     readahead_adaptive: bool = False
-    #: Writes of at least this many bytes bypass aggregation and go
-    #: straight to the backend (after flushing the partial chunk, so
-    #: issue order is preserved).  0 disables write-through — the paper's
-    #: behaviour, since BLCR's large writes still benefit from the
-    #: asynchronous chunk pipeline.  Ablation knob.
-    write_through_threshold: int = 0
     #: Total backend write attempts per chunk (1 = fail fast, the
     #: paper's implicit behaviour: the first writeback error latches).
     retry_attempts: int = 1
@@ -78,14 +74,9 @@ class CRFSConfig:
     retry_backoff: float = 0.002
     retry_backoff_max: float = 0.1
     #: Deterministic jitter fraction applied to each backoff delay
-    #: (drawn from util.rng, so schedules are reproducible).
+    #: (drawn from util.rng under the fixed ``RETRY_SEED``, so
+    #: schedules are reproducible).
     retry_jitter: float = 0.1
-    #: Per-attempt deadline in seconds; an attempt that overruns it is
-    #: treated as failed and reissued (chunk pwrites are idempotent).
-    #: 0 disables the deadline.
-    retry_timeout: float = 0.0
-    #: Root seed for the deterministic retry jitter streams.
-    retry_seed: int = 2011
     #: Consecutive failed write attempts that trip the backend circuit
     #: breaker, degrading the mount to synchronous write-through until a
     #: probe write succeeds.  0 disables the breaker.
@@ -114,12 +105,6 @@ class CRFSConfig:
     #: write-through durability.  0 returns at tier-0 (staging) speed.
     #: Ignored by single-backend mounts.
     fsync_tier: int = -1
-    #: Incremental (delta) checkpointing: fsync the manifest file before
-    #: a generation commits.  True (the default) makes the manifest the
-    #: durable commit point of the chain; False is the ablation arm
-    #: (cadence latency without the manifest barrier — a crash can then
-    #: tear the manifest, which restore detects via its checksum).
-    delta_manifest_sync: bool = True
     #: Pump workers migrating staged extents tier-to-tier in the
     #: background (per tiered mount, not per tier).
     tier_pump_threads: int = 1
@@ -142,14 +127,6 @@ class CRFSConfig:
             )
         if self.io_threads < 1:
             raise ConfigError(f"io_threads must be >= 1, got {self.io_threads}")
-        if self.work_queue_depth < 0:
-            raise ConfigError(
-                f"work_queue_depth must be >= 0, got {self.work_queue_depth}"
-            )
-        if self.write_through_threshold < 0:
-            raise ConfigError(
-                f"write_through_threshold must be >= 0, got {self.write_through_threshold}"
-            )
         if self.breaker_threshold < 0:
             raise ConfigError(
                 f"breaker_threshold must be >= 0, got {self.breaker_threshold}"
@@ -217,8 +194,6 @@ class CRFSConfig:
             backoff=self.retry_backoff,
             backoff_max=self.retry_backoff_max,
             jitter=self.retry_jitter,
-            attempt_timeout=self.retry_timeout,
-            seed=self.retry_seed,
         )
 
     @property

@@ -89,13 +89,13 @@ class DeltaCheckpointer:
         return plan
 
     def _write_manifest(self, norm: str, raw: bytes) -> None:
-        """Synchronous manifest replace: truncate, write, (fsync), close."""
+        """Synchronous manifest replace: truncate, write, fsync, close.
+        The fsync makes the manifest the chain's durable commit point."""
         backend = self.fs.backend
         handle = backend.open(manifest_path(norm), create=True, truncate=True)
         try:
             backend.pwrite(handle, raw, 0)
-            if self.fs.config.delta_manifest_sync:
-                backend.fsync(handle)
+            backend.fsync(handle)
         finally:
             backend.close(handle)
 

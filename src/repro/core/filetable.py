@@ -53,6 +53,9 @@ class FileEntry:
         self.tenant = tenant
         self.refcount = 1
         self.current_chunk: Optional[Chunk] = None
+        #: Sealed chunks the drain counts as queued whose work-queue put
+        #: has not gone through yet (``CRFS._put_unqueued``).
+        self.unqueued: list[Chunk] = []
         #: Restart-readahead cache (:class:`~repro.core.readcache.ReadCache`),
         #: attached by the mount when ``config.read_cache_chunks > 0``;
         #: None keeps reads on the paper's passthrough path.  Typed Any
@@ -95,6 +98,18 @@ class FileEntry:
 
     def peek_error(self) -> BaseException | None:
         return self.pipeline.peek_error()
+
+    def resync_planner(self, sealed_end: int) -> None:
+        """A write failed part way (a pool acquire or queue put timed
+        out): the ops past the failure never ran, so point the planner
+        back at the chunk this file actually holds (caller holds
+        write_lock).  Later writes, fsync and close then proceed as if
+        the write had stopped there."""
+        chunk = self.current_chunk
+        if chunk is None:
+            self.planner.resync(sealed_end, 0, sealed_end)
+        else:
+            self.planner.resync(chunk.file_offset, chunk.valid, sealed_end)
 
     # -- drain protocol ------------------------------------------------------
 

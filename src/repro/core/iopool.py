@@ -165,7 +165,6 @@ class IOThreadPool:
             ),
             path=entry.path,
             file_offset=chunk.file_offset,
-            clock=entry.pipeline.clock,
             health=self.health,
             on_retry=lambda attempt, delay, exc: entry.pipeline.note_retry(
                 chunk.file_offset, attempt, delay, exc
@@ -208,7 +207,6 @@ class IOThreadPool:
             lambda: self.backend.pwritev(entry.backend_handle, views, base),
             path=entry.path,
             file_offset=base,
-            clock=entry.pipeline.clock,
             health=self.health,
             on_retry=lambda attempt, delay, exc: entry.pipeline.note_retry(
                 base, attempt, delay, exc

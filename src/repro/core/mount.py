@@ -117,7 +117,6 @@ class CRFS:
             config.chunk_size, config.pool_size, stats=stats, ledger=ledger
         )
         self.queue = WorkQueue(
-            config.work_queue_depth,
             stats=stats,
             scheduler=DRRScheduler(
                 weights=self.tenants.weights(), fair=config.tenant_fairness
@@ -306,12 +305,10 @@ class CRFS:
     def _write(self, entry: FileEntry, data: bytes | memoryview, offset: int) -> int:
         """Aggregate one write (Section IV-B).  Returns the byte count.
 
-        With ``write_through_threshold`` set, writes at least that large
-        skip aggregation: the partial chunk is sealed first (preserving
-        issue order), then the data goes straight to the backend
-        synchronously.  While the backend circuit breaker is open, every
-        write takes this synchronous path (bypassing the buffer pool)
-        and doubles as a recovery probe.
+        While the backend circuit breaker is open, every write skips
+        aggregation: the partial chunk is sealed first (preserving issue
+        order), then the data goes straight to the backend synchronously
+        (bypassing the buffer pool) and doubles as a recovery probe.
         """
         self._require_mounted()
         # Sizes count bytes, not elements: a multi-byte-format buffer
@@ -319,28 +316,21 @@ class CRFS:
         view = memoryview(data).cast("B")
         nbytes = len(view)
         t0 = self.kernel.clock()
-        threshold = self.config.write_through_threshold
-        degraded = self.health.degraded
-        if degraded or (threshold and nbytes >= threshold):
+        if self.health.degraded:
             with entry.write_lock:
                 if entry.read_cache is not None:
                     entry.read_cache.invalidate(offset, nbytes)
                 for op in entry.pipeline.plan_write_through(offset, nbytes):
                     assert isinstance(op, Seal)
                     self._seal_current(entry, op)
-                if not degraded:
-                    self.backend.pwrite(entry.backend_handle, view, offset)
-            if degraded:
-                # Outside write_lock: the degraded probe retries with
-                # backoff, and sleeping under the per-file lock would
-                # stall every concurrent writer to this file for the
-                # full retry budget.  Issue order is already pinned —
-                # the seals above were enqueued under the lock, and
-                # positional pwrites to disjoint offsets commute.
-                self._pwrite_degraded(entry, view, offset)
-            entry.pipeline.note_write(
-                offset, nbytes, start=t0, write_through=True, degraded=degraded
-            )
+            # Outside write_lock: the degraded probe retries with
+            # backoff, and sleeping under the per-file lock would stall
+            # every concurrent writer to this file for the full retry
+            # budget.  Issue order is already pinned — the seals above
+            # were enqueued under the lock, and positional pwrites to
+            # disjoint offsets commute.
+            self._pwrite_degraded(entry, view, offset)
+            entry.pipeline.note_write(offset, nbytes, start=t0, degraded=True)
             return nbytes
         with entry.write_lock:
             if entry.read_cache is not None:
@@ -355,23 +345,42 @@ class CRFS:
                 # The common write: one copy into the open chunk.
                 chunk = entry.current_chunk
                 if chunk is None:
-                    chunk = self._open_chunk(entry, offset - chunk_offset)
+                    try:
+                        chunk = self._open_chunk(entry, offset - chunk_offset)
+                    except BaseException:
+                        entry.resync_planner(entry.planner.sealed_end)
+                        raise
                 chunk.append(view, chunk_offset, nbytes)
             else:
-                for op in entry.pipeline.plan_write(offset, nbytes):
-                    if isinstance(op, Fill):
-                        chunk = entry.current_chunk
-                        if chunk is None:
-                            chunk = self._open_chunk(entry, op.file_offset - op.chunk_offset)
-                        chunk.append(
-                            view[op.data_offset : op.data_offset + op.length],
-                            op.chunk_offset,
-                            op.length,
-                        )
-                    else:  # Seal
-                        self._seal_current(entry, op)
+                self._write_ops(entry, view, offset, nbytes)
         entry.pipeline.note_write(offset, nbytes, start=t0)
         return nbytes
+
+    def _write_ops(
+        self, entry: FileEntry, view: memoryview, offset: int, nbytes: int
+    ) -> None:
+        """Run the planner's Fill/Seal ops for a write the in-place
+        append refused (caller holds write_lock)."""
+        # The end of the furthest seal that ran: the planner's own
+        # sealed_end also counts seals planned past a failing op.
+        sealed_end = entry.planner.sealed_end
+        try:
+            for op in entry.pipeline.plan_write(offset, nbytes):
+                if isinstance(op, Fill):
+                    chunk = entry.current_chunk
+                    if chunk is None:
+                        chunk = self._open_chunk(entry, op.file_offset - op.chunk_offset)
+                    chunk.append(
+                        view[op.data_offset : op.data_offset + op.length],
+                        op.chunk_offset,
+                        op.length,
+                    )
+                else:  # Seal
+                    sealed_end = max(sealed_end, op.file_offset + op.length)
+                    self._seal_current(entry, op)
+        except BaseException:
+            entry.resync_planner(sealed_end)
+            raise
 
     def _open_chunk(self, entry: FileEntry, file_offset: int) -> Chunk:
         """Acquire a pool chunk and open it for ``entry`` at
@@ -403,7 +412,6 @@ class CRFS:
             lambda: self.backend.pwrite(entry.backend_handle, view, offset),
             path=entry.path,
             file_offset=offset,
-            clock=self.kernel.clock,
             health=self.health,
             on_retry=lambda attempt, delay, exc: entry.pipeline.note_retry(
                 offset, attempt, delay, exc
@@ -437,14 +445,31 @@ class CRFS:
             )
         chunk.seal(seal.reason)
         entry.current_chunk = None
+        # Counted before the put, so an IO worker can never complete a
+        # chunk the drain counters have not seen yet.
         entry.note_chunk_queued(seal)
-        self.queue.put(WorkItem(chunk=chunk, entry=entry), tenant=entry.tenant)
+        entry.unqueued.append(chunk)
+        self._put_unqueued(entry)
+
+    def _put_unqueued(self, entry: FileEntry) -> None:
+        """Hand the file's sealed chunks to the work queue, oldest first
+        (caller holds write_lock).  A chunk whose put raises (its
+        tenant's quota stayed full past the deadline) stays on the file
+        and is offered again by the next seal or flush: it holds
+        acknowledged bytes and the drain already counts it."""
+        unqueued = entry.unqueued
+        while unqueued:
+            self.queue.put(WorkItem(chunk=unqueued[0], entry=entry), tenant=entry.tenant)
+            del unqueued[0]
 
     def _flush_locked(self, entry: FileEntry) -> None:
-        """Seal the partial chunk, if any (caller holds write_lock)."""
+        """Seal the partial chunk, if any, and queue every sealed chunk
+        (caller holds write_lock)."""
         for op in entry.pipeline.plan_flush():
             assert isinstance(op, Seal)
             self._seal_current(entry, op)
+        if entry.unqueued:
+            self._put_unqueued(entry)
 
     def _fsync(self, entry: FileEntry, timeout: float = 60.0) -> None:
         """fsync() semantics (Section IV-D2): enqueue the current buffer

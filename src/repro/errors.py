@@ -114,12 +114,10 @@ class BackendIOError(CRFSError, OSError):
 
 
 class BackendTimeoutError(BackendIOError):
-    """A backend operation exceeded its per-attempt deadline.
+    """A wait on backend progress ran past its deadline.
 
-    Raised by the writeback retry layer when an attempt overruns the
-    configured ``retry_timeout``.  Positional chunk writes are
-    idempotent, so a write that overran its deadline is safely treated
-    as failed and reissued.
+    Raised by a tiered backend's ``fsync_through``/``drain`` when the
+    staged extents have not reached the requested tier in time.
     """
 
     errno = _errno.ETIMEDOUT
@@ -142,8 +140,8 @@ class ShutdownError(CRFSError):
 
 
 class QueueFullTimeout(ShutdownError):
-    """A bounded work-queue put() waited out its timeout while the queue
-    stayed full — the IO path behind it is stalled or undersized.
+    """A work-queue put() waited out its timeout while the tenant stayed
+    at its queue quota — the IO path behind it is stalled or undersized.
 
     Subclasses :class:`ShutdownError` so existing handlers of the old
     generic error keep catching it.

@@ -91,9 +91,10 @@ class WriteObserved(PipelineEvent):
     """One application ``write()`` was accepted (Section IV-B entry).
 
     ``degraded`` marks a write served synchronously because the backend
-    circuit breaker is open (degraded writes are also write-through).
-    An aggregated (not write-through) write of ``length > 0`` paid the
-    ``ingest`` copy of DESIGN.md §3k: user buffer → pooled chunk.
+    circuit breaker is open: it went straight to the backend
+    (write-through) instead of into a chunk.  Every other write of
+    ``length > 0`` paid the ``ingest`` copy of DESIGN.md §3k: user
+    buffer → pooled chunk.
 
     A mount builds it only when its kernel has a subscriber besides
     the stats registry; with none, the write is counted by
@@ -104,7 +105,6 @@ class WriteObserved(PipelineEvent):
     length: int
     start: float
     duration: float
-    write_through: bool = False
     degraded: bool = False
     tenant: str = "default"
 

@@ -154,7 +154,6 @@ class FilePipeline:
         offset: int,
         length: int,
         start: float | None = None,
-        write_through: bool = False,
         degraded: bool = False,
     ) -> None:
         """One application write() finished its synchronous part.
@@ -162,9 +161,9 @@ class FilePipeline:
         An aggregated write paid exactly one copy — user buffer into
         the pooled chunk buffer at ingest (the aliasing snapshot
         point); the stats registry derives it from this one event
-        rather than from each ``Chunk.append`` call.  Write-through
-        bypasses aggregation and hands the caller's view straight to
-        the backend: no pipeline copy.
+        rather than from each ``Chunk.append`` call.  A ``degraded``
+        write (breaker open) bypasses aggregation and hands the
+        caller's view straight to the backend: no pipeline copy.
 
         The event is built only when the kernel has a subscriber
         besides its stats registry — checked on every write, so an
@@ -174,7 +173,7 @@ class FilePipeline:
         """
         kernel = self._kernel
         if kernel is not None and not kernel.subscribers:
-            kernel.stats.count_write(length, self.tenant, write_through, degraded)
+            kernel.stats.count_write(length, self.tenant, degraded)
             return
         now = self.clock()
         if start is None:
@@ -186,7 +185,6 @@ class FilePipeline:
                 length=length,
                 start=start,
                 duration=now - start,
-                write_through=write_through,
                 degraded=degraded,
                 tenant=self.tenant,
             )

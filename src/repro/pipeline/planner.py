@@ -194,6 +194,14 @@ class WritePlanner:
         self.chunk_fill = 0
         return ops
 
+    def resync(self, chunk_file_offset: int, chunk_fill: int, sealed_end: int) -> None:
+        """Set the open chunk (``chunk_fill == 0``: none) and the sealed
+        end to what the runtime holds after a write failed part way
+        through its ops.  The lifetime counters keep the failed write."""
+        self.chunk_file_offset = chunk_file_offset
+        self.chunk_fill = chunk_fill
+        self.sealed_end = sealed_end
+
     def _seal(self, reason: SealReason) -> Seal:
         seal = Seal(
             file_offset=self.chunk_file_offset,

@@ -7,10 +7,9 @@ place that failure policy is encoded for both planes:
 
 * :class:`RetryPolicy` — how many attempts a chunk writeback gets,
   exponential backoff between them (with deterministic jitter derived
-  from :func:`repro.util.rng.rng_for`, so identical workloads back off
-  identically run-to-run and plane-to-plane), and an optional
-  per-attempt deadline.  Positional chunk writes are idempotent, so an
-  attempt that overruns its deadline is treated as failed and reissued.
+  from :func:`repro.util.rng.rng_for` under :data:`RETRY_SEED`, so
+  identical workloads back off identically run-to-run and
+  plane-to-plane).
 * :class:`BackendHealth` — a per-backend consecutive-failure tracker.
   After ``threshold`` consecutive failed attempts it trips a circuit
   breaker (``BackendDegraded`` on the unified stream); the mount then
@@ -32,13 +31,16 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import BackendTimeoutError, ConfigError
+from ..errors import ConfigError
 from ..util.rng import rng_for
 from .events import BackendDegraded, BackendRecovered, PipelineEvent
 
-__all__ = ["RetryPolicy", "BackendHealth", "run_attempts"]
+__all__ = ["RETRY_SEED", "RetryPolicy", "BackendHealth", "run_attempts"]
 
 EmitFn = Callable[[PipelineEvent], None]
+
+#: Root seed of the deterministic retry jitter streams.
+RETRY_SEED = 2011
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class RetryPolicy:
     behaviour), N allows N-1 retries.  The delay before attempt k+1 is
     ``min(backoff * 2**(k-1), backoff_max)`` scaled by a
     deterministic jitter factor in ``[1-jitter, 1+jitter]`` derived
-    from ``(seed, path, file_offset, attempt)`` — no shared mutable RNG
+    from ``(RETRY_SEED, path, file_offset, attempt)`` — no shared mutable RNG
     state, so concurrent workers and the simulation plane draw
     identical schedules for identical chunks.
     """
@@ -58,8 +60,6 @@ class RetryPolicy:
     backoff: float = 0.002
     backoff_max: float = 0.1
     jitter: float = 0.1
-    attempt_timeout: float = 0.0  # 0 = no per-attempt deadline
-    seed: int = 2011
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
@@ -70,30 +70,17 @@ class RetryPolicy:
             raise ConfigError(f"backoff_max must be >= 0, got {self.backoff_max}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ConfigError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.attempt_timeout < 0:
-            raise ConfigError(
-                f"attempt_timeout must be >= 0, got {self.attempt_timeout}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any retries are allowed at all."""
-        return self.attempts > 1
 
     def should_retry(self, attempt: int) -> bool:
         """Whether a failure of 1-based ``attempt`` gets another try."""
         return attempt < self.attempts
-
-    def timed_out(self, elapsed: float) -> bool:
-        """Whether an attempt that took ``elapsed`` overran its deadline."""
-        return self.attempt_timeout > 0 and elapsed > self.attempt_timeout
 
     def delay(self, attempt: int, path: str, file_offset: int) -> float:
         """Backoff before the attempt after 1-based ``attempt`` failed."""
         base = min(self.backoff * 2 ** (attempt - 1), self.backoff_max)
         if base <= 0 or self.jitter <= 0:
             return base
-        rng = rng_for(self.seed, f"retry/{path}/{file_offset}/{attempt}")
+        rng = rng_for(RETRY_SEED, f"retry/{path}/{file_offset}/{attempt}")
         return base * float(rng.uniform(1.0 - self.jitter, 1.0 + self.jitter))
 
 
@@ -194,7 +181,6 @@ def run_attempts(
     *,
     path: str,
     file_offset: int,
-    clock: Callable[[], float] | None = None,
     health: BackendHealth | None = None,
     on_retry: Callable[[int, float, BaseException], None] | None = None,
     sleep: Callable[[float], None] = time.sleep,
@@ -207,25 +193,13 @@ def run_attempts(
     ``health`` per attempt.  Non-``Exception`` failures (KeyboardInterrupt
     and friends) are never retried.
     """
-    clock = clock if clock is not None else time.perf_counter
     attempt = 1
     while True:
-        t0 = clock()
-        error: BaseException | None = None
         try:
             fn()
         except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
             error = exc
         else:
-            elapsed = clock() - t0
-            if policy.timed_out(elapsed):
-                # the write landed but overran its deadline: positional
-                # writes are idempotent, so count it failed and reissue
-                error = BackendTimeoutError(
-                    f"{path}@{file_offset}: attempt took {elapsed:.3f}s "
-                    f"(limit {policy.attempt_timeout}s)"
-                )
-        if error is None:
             if health is not None:
                 health.record_success()
             return None

@@ -270,11 +270,11 @@ class PipelineStats(PipelineObserver):
         self,
         length: int,
         tenant: str = "default",
-        write_through: bool = False,
         degraded: bool = False,
     ) -> None:
         """Count one application ``write()`` — the only code that moves
-        the write counters.
+        the write counters.  A ``degraded`` write went to the backend
+        synchronously (write-through), so it paid no ingest copy.
 
         ``FilePipeline.note_write`` calls it directly when nothing but
         this registry listens, so a write costs no event; otherwise the
@@ -283,20 +283,19 @@ class PipelineStats(PipelineObserver):
         with self._lock:
             self.writes += 1
             self.bytes_in += length
-            if write_through:
-                self.write_through_bytes += length
-            elif length > 0:
-                self.copies.record(INGEST, length)
             if degraded:
+                self.write_through_bytes += length
                 self.degraded_writes += 1
                 self.degraded_bytes += length
+            elif length > 0:
+                self.copies.record(INGEST, length)
             t = self._tenant(tenant)
             t["writes"] += 1
             t["bytes_in"] += length
 
     def on_event(self, event: PipelineEvent) -> None:
         if isinstance(event, WriteObserved):
-            self.count_write(event.length, event.tenant, event.write_through, event.degraded)
+            self.count_write(event.length, event.tenant, event.degraded)
             return
         with self._lock:
             if isinstance(event, ChunkSealed):

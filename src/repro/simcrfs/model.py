@@ -1,7 +1,8 @@
 """The CRFS pipeline as simulated processes.
 
 One :class:`SimCRFS` instance models one node's CRFS mount: a buffer
-pool (counting semaphore over pool chunks), the work queue, and
+pool (a :class:`~repro.pipeline.tenancy.PoolLedger` over pool chunks),
+the work queue (a :class:`~repro.pipeline.tenancy.DRRScheduler`), and
 ``io_threads`` worker processes that write sealed chunks to the backing
 :class:`~repro.simio.fsbase.SimFilesystem`.  The pipeline *state
 machine* — aggregation planning, the
@@ -35,7 +36,7 @@ from typing import Any, Iterable, Optional
 
 from ..checkpoint.manifest import Manifest, generation_path, manifest_path
 from ..config import CRFSConfig
-from ..errors import BackendIOError, BackendTimeoutError, ShutdownError
+from ..errors import BackendIOError, ShutdownError
 from ..pipeline import (
     AdmissionWait,
     BackendHealth,
@@ -51,14 +52,7 @@ from ..pipeline import (
 from ..pipeline.readahead import DEMAND, PREFETCH, CacheEntry, ReadaheadCore
 from ..pipeline.staging import StagedFile, StagingCore, tier_health_emit
 from ..pipeline.tenancy import DEFAULT_TENANT, DRRScheduler, PoolLedger
-from ..sim import (
-    SharedBandwidth,
-    SimEvent,
-    SimQueue,
-    SimSemaphore,
-    SimTenantPool,
-    Simulator,
-)
+from ..sim import SharedBandwidth, SimEvent, SimQueue, SimTenantPool, Simulator
 from ..simio.fsbase import PAGE, SimFile, SimFilesystem
 from ..simio.params import HardwareParams
 from ..simio.tiered import TieredSimFilesystem
@@ -242,32 +236,23 @@ class SimCRFS:
                 sim.spawn(self._pump_proc(i), name=f"{node}-crfs-pump{i}")
                 for i in range(config.tier_pump_threads)
             ]
-        # With no tenants configured the exact pre-tenant primitives run
-        # (semaphore pool, plain FIFO deques) so default-config virtual
-        # time stays bit-identical; with tenants, the same ledger /
-        # scheduler classes the functional plane delegates to take over,
-        # keeping service order identical across planes by construction.
-        if self.tenants.active:
-            self.pool: Any = SimTenantPool(
-                sim,
-                PoolLedger(
-                    max(1, config.pool_chunks), self.tenants.reservations()
-                ),
-            )
-            self.queue = SimQueue(
-                sim,
-                capacity=config.work_queue_depth,
-                scheduler=DRRScheduler(
-                    weights=self.tenants.weights(), fair=config.tenant_fairness
-                ),
-                quotas=self.tenants.quotas(),
-                on_admission_wait=lambda tenant, depth: self.kernel.emit(
-                    AdmissionWait(tenant=tenant, depth=depth, t=sim.now)
-                ),
-            )
-        else:
-            self.pool = SimSemaphore(sim, capacity=max(1, config.pool_chunks))
-            self.queue = SimQueue(sim)
+        # The same ledger / scheduler classes the functional plane
+        # delegates to, so service order is identical across planes by
+        # construction.  With no tenants configured both degrade to one
+        # FIFO-served default tenant.
+        self.pool = SimTenantPool(
+            sim, PoolLedger(max(1, config.pool_chunks), self.tenants.reservations())
+        )
+        self.queue = SimQueue(
+            sim,
+            scheduler=DRRScheduler(
+                weights=self.tenants.weights(), fair=config.tenant_fairness
+            ),
+            quotas=self.tenants.quotas(),
+            on_admission_wait=lambda tenant, depth: self.kernel.emit(
+                AdmissionWait(tenant=tenant, depth=depth, t=sim.now)
+            ),
+        )
         self._io_threads = [
             sim.spawn(self._io_thread(i), name=f"{node}-crfs-io{i}")
             for i in range(config.io_threads)
@@ -344,32 +329,7 @@ class SimCRFS:
             self._cached_files.append(f)
         return f
 
-    # -- pool plumbing (semaphore vs ledger-partitioned) ------------------------
-
-    def _pool_acquire(self, tenant: str):
-        """Waitable for one pool chunk, tenant-aware when partitioned."""
-        if isinstance(self.pool, SimTenantPool):
-            return self.pool.acquire(tenant)
-        return self.pool.acquire()
-
-    def _pool_would_wait(self, tenant: str) -> bool:
-        """The write-path backpressure predicate, sampled before the
-        acquire is yielded."""
-        if isinstance(self.pool, SimTenantPool):
-            return self.pool.would_wait(tenant)
-        return self.pool.in_use >= self.pool.capacity or self.pool.waiting > 0
-
-    def _pool_starved(self, tenant: str) -> bool:
-        """The read-path try-acquire predicate (mirror of
-        ``BufferPool.try_acquire`` returning None)."""
-        if isinstance(self.pool, SimTenantPool):
-            return self.pool.would_wait(tenant)
-        return self.pool.in_use >= self.pool.capacity
-
-    def _tenant_in_use(self, tenant: str) -> int:
-        if isinstance(self.pool, SimTenantPool):
-            return self.pool.held(tenant)
-        return self.pool.in_use
+    # -- pool plumbing -------------------------------------------------------------
 
     def _note_pool_acquired(self, tenant: str, waited: bool) -> None:
         """The acquire-side ``PoolPressure`` event (after the yield)."""
@@ -378,7 +338,7 @@ class SimCRFS:
                 waited=waited,
                 in_use=self.pool.in_use,
                 tenant=tenant,
-                tenant_in_use=self._tenant_in_use(tenant),
+                tenant_in_use=self.pool.held(tenant),
             )
         )
 
@@ -386,16 +346,13 @@ class SimCRFS:
         """Recycle one chunk and emit the released ``PoolPressure`` — the
         one choke point, like the functional plane's
         ``BufferPool.release``."""
-        if isinstance(self.pool, SimTenantPool):
-            self.pool.release(tenant)
-        else:
-            self.pool.release()
+        self.pool.release(tenant)
         self.kernel.emit(
             PoolPressure(
                 waited=False,
                 in_use=self.pool.in_use,
                 tenant=tenant,
-                tenant_in_use=self._tenant_in_use(tenant),
+                tenant_in_use=self.pool.held(tenant),
                 released=True,
             )
         )
@@ -429,14 +386,14 @@ class SimCRFS:
     def _open_chunk(self, f: SimCRFSFile):
         """Generator: acquire a pool chunk for ``f`` — the write path's
         backpressure point (mirror of ``CRFS._open_chunk``)."""
-        waited = self._pool_would_wait(f.tenant)
+        waited = self.pool.would_wait(f.tenant)
         if waited:
             # Read-cache leases draw on this pool; shed them before
             # parking the writer (mirror of CRFS._shed_read_caches) or a
             # full cache deadlocks the virtual clock.
             self._shed_read_caches()
-            waited = self._pool_would_wait(f.tenant)
-        yield self._pool_acquire(f.tenant)
+            waited = self.pool.would_wait(f.tenant)
+        yield self.pool.acquire(f.tenant)
         self._note_pool_acquired(f.tenant, waited)
         f.has_chunk = True
 
@@ -590,8 +547,7 @@ class SimCRFS:
             mf = self.backend.open(manifest_path(path))
             try:
                 yield from self.backend.write(mf, len(raw))
-                if self.config.delta_manifest_sync:
-                    yield from self.backend.fsync(mf)
+                yield from self.backend.fsync(mf)
             finally:
                 yield from self.backend.close(mf)
         except BaseException:
@@ -665,14 +621,14 @@ class SimCRFS:
                 # failure surfaces — demand reads are never silent.
                 centry, evicted = core.admit(index, DEMAND)
                 self._release_read_evicted(evicted, f.tenant)
-                if self._pool_starved(f.tenant):
+                if self.pool.would_wait(f.tenant):
                     # Silent un-admit (demand); starved=True still feeds
                     # the adaptive window its pool-pressure signal.
                     core.fetch_failed(centry, starved=True)
                     self._wake_read_waiters(centry)
                     yield from self.backend.read(f.backend_file, hi - lo)
                     return
-                yield self._pool_acquire(f.tenant)
+                yield self.pool.acquire(f.tenant)
                 self._note_pool_acquired(f.tenant, waited=False)
                 length = min(cs, file_size - base)
                 try:
@@ -734,11 +690,11 @@ class SimCRFS:
         tenant = item.f.tenant
         if centry.evicted:  # invalidated/cleared while queued
             return
-        if self._pool_starved(tenant):
+        if self.pool.would_wait(tenant):
             core.fetch_failed(centry, starved=True)
             self._wake_read_waiters(centry)
             return
-        yield self._pool_acquire(tenant)
+        yield self.pool.acquire(tenant)
         self._note_pool_acquired(tenant, waited=False)
         try:
             yield from self.backend.read(item.f.backend_file, item.length)
@@ -813,20 +769,19 @@ class SimCRFS:
                 raise error
             yield from self._stage(f, f.pos, request)
             f.pos += request
-        f.pipeline.note_write(
-            offset0, nbytes, start=t0, write_through=True, degraded=True
-        )
+        f.pipeline.note_write(offset0, nbytes, start=t0, degraded=True)
 
     def _attempt_backend_write(self, f: SimCRFSFile, length: int, file_offset: int):
-        """Generator: one backend write driven under the mount's
-        :class:`RetryPolicy` — the timing-plane twin of
-        :func:`repro.pipeline.resilience.run_attempts`, with backoff as
-        virtual-clock timeouts.  Returns the error that survives retry
-        exhaustion, or None on success.
-        """
+        """Generator: one backend write under the retry policy and the
+        mount's breaker.  Returns the error that survives retry
+        exhaustion, or None on success."""
         return (
             yield from self._attempt_op(
-                f, file_offset, lambda: self.backend.write(f.backend_file, length)
+                lambda: self.backend.write(f.backend_file, length),
+                f.path,
+                file_offset,
+                self.health,
+                f.pipeline.note_retry,
             )
         )
 
@@ -837,37 +792,45 @@ class SimCRFS:
         run_attempts."""
         return (
             yield from self._attempt_op(
-                f, file_offset, lambda: self.backend.writev(f.backend_file, sizes)
+                lambda: self.backend.writev(f.backend_file, sizes),
+                f.path,
+                file_offset,
+                self.health,
+                f.pipeline.note_retry,
             )
         )
 
-    def _attempt_op(self, f: SimCRFSFile, file_offset: int, make_op):
-        """Shared attempt loop; ``make_op`` supplies a fresh backend-op
-        generator per attempt."""
+    def _attempt_op(
+        self,
+        make_op,
+        path: str,
+        file_offset: int,
+        health: BackendHealth,
+        note_retry,
+    ):
+        """Generator: one backend op driven under the mount's
+        :class:`RetryPolicy` — the timing-plane twin of
+        :func:`repro.pipeline.resilience.run_attempts`, with backoff as
+        virtual-clock timeouts.  ``make_op`` supplies a fresh backend-op
+        generator per attempt; each outcome feeds ``health`` and each
+        retry is published through ``note_retry(file_offset, attempt,
+        delay, error)``.  Returns the error that survives retry
+        exhaustion, or None on success."""
         policy = self.retry
         attempt = 1
         while True:
-            t0 = self.sim.now
-            error: BaseException | None = None
             try:
                 yield from make_op()
             except Exception as exc:  # noqa: BLE001 - surfaced to the caller
                 error = exc
             else:
-                elapsed = self.sim.now - t0
-                if policy.timed_out(elapsed):
-                    error = BackendTimeoutError(
-                        f"{f.path}@{file_offset}: attempt took {elapsed:.3f}s "
-                        f"(limit {policy.attempt_timeout}s)"
-                    )
-            if error is None:
-                self.health.record_success()
+                health.record_success()
                 return None
-            self.health.record_failure()
+            health.record_failure()
             if not policy.should_retry(attempt):
                 return error
-            delay = policy.delay(attempt, f.path, file_offset)
-            f.pipeline.note_retry(file_offset, attempt, delay, error)
+            delay = policy.delay(attempt, path, file_offset)
+            note_retry(file_offset, attempt, delay, error)
             if delay > 0:
                 yield self.sim.timeout(delay)
             attempt += 1
@@ -936,7 +899,19 @@ class SimCRFS:
             else:
                 yield from self.backend.tier_write(f.backend_file, tier, total)
 
-        error = yield from self._attempt_tier_op(tier, f.path, offset, make_op)
+        # Under the destination tier's own breaker, with retries
+        # published as ``TierRetried`` — deep-tier trouble never pollutes
+        # the mount's ``resilience`` section (mirror of ``run_attempts``
+        # as ``TieredBackend._migrate`` drives it).
+        error = yield from self._attempt_op(
+            make_op,
+            f.path,
+            offset,
+            self._tier_healths[tier],
+            lambda file_offset, attempt, delay, exc: self.staging.retried(
+                tier, f.path, file_offset, attempt, delay, exc
+            ),
+        )
         if error is None:
             self.staging.migrated(sf, tier, offset, total, chunks, start)
             if tier + 1 < self.staging.ntiers:
@@ -952,41 +927,6 @@ class SimCRFS:
         if sf.closing and sum(sf.pending) == 0:
             sf.closing = False
             yield from self.backend.close(f.backend_file)
-
-    def _attempt_tier_op(self, tier: int, path: str, file_offset: int, make_op):
-        """The pump's attempt loop: like :meth:`_attempt_op` but under
-        the destination tier's own breaker, with retries published as
-        ``TierRetried`` — deep-tier trouble never pollutes the mount's
-        ``resilience`` section (mirror of ``run_attempts`` as
-        ``TieredBackend._migrate`` drives it)."""
-        policy = self.retry
-        health = self._tier_healths[tier]
-        attempt = 1
-        while True:
-            t0 = self.sim.now
-            error: BaseException | None = None
-            try:
-                yield from make_op()
-            except Exception as exc:  # noqa: BLE001 - strand-latched by caller
-                error = exc
-            else:
-                elapsed = self.sim.now - t0
-                if policy.timed_out(elapsed):
-                    error = BackendTimeoutError(
-                        f"{path}@{file_offset}: attempt took {elapsed:.3f}s "
-                        f"(limit {policy.attempt_timeout}s)"
-                    )
-            if error is None:
-                health.record_success()
-                return None
-            health.record_failure()
-            if not policy.should_retry(attempt):
-                return error
-            delay = policy.delay(attempt, path, file_offset)
-            self.staging.retried(tier, path, file_offset, attempt, delay, error)
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            attempt += 1
 
     def _wake_staging_waiters(self, sf: StagedFile) -> None:
         """Wake fsync waiters parked on the file plus mount-wide drain

@@ -134,24 +134,25 @@ class TestGetBatch:
 
 
 class TestPutContract:
-    """The two bands' blocking/timeout/close contracts."""
+    """The two bands' blocking/timeout/close contracts.  A high-band put
+    blocks only at its tenant's quota; a low-band put never blocks."""
 
     def test_full_high_band_put_times_out(self):
-        q = WorkQueue(capacity=1)
+        q = WorkQueue(quotas={"default": 1})
         q.put("x")
         with pytest.raises(QueueFullTimeout):
             q.put("y", timeout=0.01)
 
     def test_low_band_put_rejects_explicit_timeout(self):
-        q = WorkQueue(capacity=1)
-        q.put("x")  # band full — a low put must still not block
+        q = WorkQueue(quotas={"default": 1})
+        q.put("x")  # quota full — a low put must still not block
         with pytest.raises(ValueError, match="never block"):
             q.put("y", timeout=0.01, low=True)
 
     def test_low_band_put_never_blocks_at_capacity(self):
-        q = WorkQueue(capacity=1)
+        q = WorkQueue(quotas={"default": 1})
         q.put("x")
-        q.put("y", low=True)  # returns immediately despite the full band
+        q.put("y", low=True)  # returns immediately despite the full quota
         assert len(q) == 2
 
     def test_both_bands_reject_put_after_close(self):
@@ -173,7 +174,7 @@ class TestPutContract:
             q.get()
 
     def test_close_wakes_blocked_high_put(self):
-        q = WorkQueue(capacity=1)
+        q = WorkQueue(quotas={"default": 1})
         q.put("x")
         errors = []
 
@@ -215,7 +216,9 @@ class TestSimTakeAdjacent:
             first = yield q.get()
             out["first"] = first
             out["batch"] = q.take_adjacent(first, 7, contiguous)
-            out["left"] = list(q._items)
+            out["left"] = []
+            while len(q):
+                out["left"].append((yield q.get()))
 
         sim.run_until_complete([sim.spawn(producer())])
         sim.run_until_complete([sim.spawn(consumer())])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import CRFSConfig, DEFAULT_CONFIG
+from repro.config import CRFSConfig, DEFAULT_CONFIG, TenantSpec
 from repro.errors import ConfigError
 from repro.units import KiB, MiB
 
@@ -40,8 +40,9 @@ class TestValidation:
             CRFSConfig(io_threads=0)
 
     def test_negative_queue_depth_rejected(self):
+        # The queue's only depth bound is the per-tenant quota.
         with pytest.raises(ConfigError):
-            CRFSConfig(work_queue_depth=-1)
+            CRFSConfig(tenants=(TenantSpec("a", queue_quota=-1),))
 
     def test_pool_equal_chunk_ok(self):
         cfg = CRFSConfig(chunk_size=4 * MiB, pool_size=4 * MiB)

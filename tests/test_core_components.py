@@ -167,7 +167,7 @@ class TestWorkQueue:
         assert got == ["item"]
 
     def test_bounded_put_blocks(self):
-        q = WorkQueue(capacity=1)
+        q = WorkQueue(quotas={"default": 1})
         q.put(1)
         done = []
 
@@ -221,10 +221,6 @@ class TestWorkQueue:
         assert q.total_puts == 5
         assert q.max_depth == 5
         assert len(q) == 5
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            WorkQueue(capacity=-1)
 
 
 class TestFileEntryDrain:

@@ -143,7 +143,7 @@ class TestConcurrencyStress:
     def test_queue_stress_many_producers(self):
         from repro.core.workqueue import QueueClosed, WorkQueue
 
-        q = WorkQueue(capacity=8)
+        q = WorkQueue(quotas={"default": 8})
         produced, consumed = [], []
         lock = threading.Lock()
 

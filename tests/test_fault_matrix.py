@@ -1122,18 +1122,6 @@ class TestDeltaManifestCells:
             assert tracker.generation == 1
             assert fs.delta_restore("/ckpt") == bytes(image)
 
-    def test_manifest_sync_off_skips_the_faulted_fsync(self):
-        """``delta_manifest_sync=False`` is the knob's ablation arm: a
-        manifest fsync rule can never fire because the fsync is never
-        issued."""
-        mem, backend, fs = delta_mount(
-            manifest_rules("fsync", "every"), delta_manifest_sync=False
-        )
-        with fs:
-            fs.delta_checkpoint("/ckpt", DATA)
-            assert fs.delta_restore("/ckpt") == DATA
-        assert backend.faults_fired == 0
-
 
 class TestDeltaDataCells:
     """Generation-file data writes ride the normal asynchronous

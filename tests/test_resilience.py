@@ -17,7 +17,7 @@ import pytest
 from repro.backends import FaultRule, FaultyBackend, MemBackend
 from repro.config import CRFSConfig
 from repro.core import CRFS
-from repro.errors import BackendIOError, BackendTimeoutError, ConfigError
+from repro.errors import BackendIOError, ConfigError
 from repro.pipeline import (
     BackendDegraded,
     BackendHealth,
@@ -65,7 +65,6 @@ class Recorder(PipelineObserver):
 class TestRetryPolicy:
     def test_defaults_fail_fast(self):
         p = RetryPolicy()
-        assert not p.enabled
         assert not p.should_retry(1)
 
     def test_should_retry_counts_the_first_attempt(self):
@@ -74,11 +73,12 @@ class TestRetryPolicy:
         assert not p.should_retry(3)
 
     def test_delay_is_deterministic_per_chunk(self):
-        p = RetryPolicy(attempts=4, seed=7)
+        p = RetryPolicy(attempts=4)
         d1 = p.delay(1, "/f", 0)
-        assert d1 == p.delay(1, "/f", 0)  # same key, same delay
+        assert d1 == RetryPolicy(attempts=4).delay(1, "/f", 0)  # same key, same delay
         assert d1 != p.delay(1, "/f", CHUNK)  # different chunk
-        assert d1 != RetryPolicy(attempts=4, seed=8).delay(1, "/f", 0)
+        # The jitter streams are pinned under the fixed RETRY_SEED.
+        assert (d1, p.delay(3, "/g", 4096)) == (0.0018437291968248692, 0.008574315586976286)
 
     def test_delay_grows_and_caps(self):
         p = RetryPolicy(attempts=10, backoff=0.01, backoff_max=0.05, jitter=0.0)
@@ -91,12 +91,6 @@ class TestRetryPolicy:
             d = p.delay(1, f"/f{k}", 0)
             assert 0.005 <= d <= 0.015
 
-    def test_timed_out(self):
-        assert not RetryPolicy().timed_out(999.0)  # disabled by default
-        p = RetryPolicy(attempt_timeout=0.1)
-        assert p.timed_out(0.2)
-        assert not p.timed_out(0.05)
-
     @pytest.mark.parametrize(
         "kw",
         [
@@ -105,7 +99,6 @@ class TestRetryPolicy:
             dict(backoff_max=-0.1),
             dict(jitter=1.5),
             dict(jitter=-0.1),
-            dict(attempt_timeout=-1.0),
         ],
     )
     def test_validation(self, kw):
@@ -113,9 +106,9 @@ class TestRetryPolicy:
             RetryPolicy(**kw)
 
     def test_config_knobs_round_trip(self):
-        cfg = CRFSConfig(retry_attempts=5, retry_backoff=0.01, retry_seed=42)
+        cfg = CRFSConfig(retry_attempts=5, retry_backoff=0.01, retry_jitter=0.2)
         p = cfg.retry_policy()
-        assert p.attempts == 5 and p.backoff == 0.01 and p.seed == 42
+        assert p.attempts == 5 and p.backoff == 0.01 and p.jitter == 0.2
         with pytest.raises(ConfigError):
             CRFSConfig(retry_attempts=0)
         with pytest.raises(ConfigError):
@@ -250,32 +243,6 @@ class TestRunAttempts:
             sleep=lambda s: None,
         )
         assert isinstance(err, KeyboardInterrupt) and len(calls) == 1
-
-    def test_attempt_timeout_reissues(self):
-        # fake clock: each attempt appears to take 1.0s against a 0.5s cap
-        now = [0.0]
-
-        def clock():
-            now[0] += 0.5
-            return now[0]
-
-        calls = []
-        err = run_attempts(
-            fast_policy(attempts=2, attempt_timeout=0.3),
-            lambda: calls.append(1),
-            path="/f",
-            file_offset=0,
-            clock=clock,
-            sleep=lambda s: None,
-        )
-        assert isinstance(err, BackendTimeoutError)
-        assert len(calls) == 2  # the over-deadline write was reissued
-
-    def test_no_timeout_when_fast_enough(self):
-        err = run_attempts(
-            fast_policy(attempt_timeout=30.0), lambda: None, path="/f", file_offset=0
-        )
-        assert err is None
 
 
 # ---------------------------------------------------------------------------

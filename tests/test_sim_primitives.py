@@ -221,12 +221,12 @@ class TestSimQueue:
 
     def test_bounded_put_blocks_until_get(self):
         sim = Simulator()
-        q = SimQueue(sim, capacity=1)
+        q = SimQueue(sim, quotas={"default": 1})
         times = {}
 
         def producer():
             yield q.put(1)
-            yield q.put(2)  # must wait for consumer
+            yield q.put(2)  # at the quota: must wait for consumer
             times["second_put"] = sim.now
 
         def consumer():

@@ -11,16 +11,21 @@
 * ``unlink``/``rename``/``truncate`` cannot interleave with an
   ``open`` of the same path; re-opening an open path with ``truncate``
   is refused; ``size()`` counts a sealed chunk still in flight.
+* A write whose pool acquire or queue put times out raises, and the
+  file stays usable: later writes, fsync and close work and keep every
+  byte the write path accepted.
 """
 
+import functools
 import threading
 
 import pytest
 
 from repro.backends import FaultRule, FaultyBackend, MemBackend
-from repro.config import CRFSConfig
+from repro.config import CRFSConfig, TenantSpec
 from repro.core import CRFS
 from repro.errors import BackendIOError, FileNotFound, FileStateError
+from repro.errors import QueueFullTimeout, ShutdownError
 from repro.pipeline import FilePipeline, PipelineKernel, PipelineObserver, WriteObserved
 from repro.pipeline.stats import PipelineStats, flatten_snapshot
 from repro.units import KiB
@@ -57,26 +62,26 @@ def counts(snapshot):
 
 class TestCountWrite:
     CASES = [
-        (100, "default", False, False),
-        (0, "default", False, False),
-        (3 * CHUNK, "t1", True, False),
-        (CHUNK, "t2", True, True),
+        (100, "default", False),
+        (0, "default", False),
+        (3 * CHUNK, "t1", False),
+        (CHUNK, "t2", True),
     ]
 
     @pytest.mark.parametrize("case", CASES)
     def test_direct_count_equals_event(self, case):
-        length, tenant, write_through, degraded = case
+        length, tenant, degraded = case
         direct, via_event = PipelineStats(CHUNK), PipelineStats(CHUNK)
-        direct.count_write(length, tenant, write_through, degraded)
-        via_event.on_event(
-            WriteObserved("/f", 0, length, 0.0, 0.0, write_through, degraded, tenant)
-        )
+        direct.count_write(length, tenant, degraded)
+        via_event.on_event(WriteObserved("/f", 0, length, 0.0, 0.0, degraded, tenant))
         assert direct.snapshot() == via_event.snapshot()
         snap = direct.snapshot()
         assert (snap["writes"], snap["bytes_in"]) == (1, length)
         assert snap["tenants"][tenant]["bytes_in"] == length
-        ingest = 0 if write_through else length
+        # A degraded write went through to the backend: no ingest copy.
+        ingest = 0 if degraded else length
         assert snap["mem"]["by_site"]["ingest"]["bytes"] == ingest
+        assert snap["write_through_bytes"] == length - ingest
         assert snap["resilience"]["degraded_bytes"] == (length if degraded else 0)
 
     def test_note_write_skips_the_event_without_subscribers(self):
@@ -102,7 +107,8 @@ class TestCountWrite:
 
 def threaded_mix(observers):
     """Degraded writes while the breaker is open, then aggregated,
-    spanning, rewind and write-through writes on one file."""
+    spanning and rewind writes on one file, and a write-through while
+    the breaker is tripped again."""
     backend = FaultyBackend(
         MemBackend(),
         [FaultRule(op="pwrite", nth=1, error=OSError("EIO"))],
@@ -114,7 +120,6 @@ def threaded_mix(observers):
         io_threads=1,
         retry_attempts=1,
         breaker_threshold=1,
-        write_through_threshold=4 * CHUNK,
     )
     with CRFS(backend, cfg, observers=observers) as fs:
         f = fs.open("/a")
@@ -129,7 +134,8 @@ def threaded_mix(observers):
             for n in (10, 100, 1000, 3 * CHUNK + 7, 50):
                 f.write(b"x" * n)
             f.pwrite(b"r" * 30, 5)  # rewind
-            f.write(b"w" * 4 * CHUNK)  # write-through
+            fs.health.record_failure()  # trip the breaker again
+            f.write(b"w" * 4 * CHUNK)  # write-through, heals it
             f.write(b"")
             f.write(b"t" * 9)
         return fs.stats()
@@ -187,7 +193,7 @@ class TestSubscriberDoesNotChangeStats:
         plain, observed = threaded_mix(()), threaded_mix((NoOp(),))
         assert counts(plain) == counts(observed)
         assert plain["writes"] == 11
-        assert plain["resilience"]["degraded_writes"] == 1
+        assert plain["resilience"]["degraded_writes"] == 2
         assert plain["write_through_bytes"] == 100 + 4 * CHUNK
         assert plain["seals"]["gap"] == 1
         assert plain["mem"]["bytes_copied"] == plain["bytes_in"] - plain["write_through_bytes"]
@@ -210,25 +216,23 @@ class TestWriteObservedDelivery:
             chunk_size=CHUNK,
             pool_size=8 * CHUNK,
             io_threads=1,
-            write_through_threshold=2 * CHUNK,
+            breaker_threshold=1,
         )
         with CRFS(MemBackend(), cfg, observers=[rec]) as fs:
             with fs.open("/f") as f:
                 f.write(b"a" * 10)
                 f.write(b"b" * (CHUNK + 3))
                 f.pwrite(b"c" * 4, 2)
+                fs.health.record_failure()  # trip: the next write goes through
                 f.write(b"d" * 2 * CHUNK)
                 f.write(b"")
-        got = [
-            (e.path, e.offset, e.length, e.write_through, e.degraded, e.tenant)
-            for e in rec.writes()
-        ]
+        got = [(e.path, e.offset, e.length, e.degraded, e.tenant) for e in rec.writes()]
         assert got == [
-            ("/f", 0, 10, False, False, "default"),
-            ("/f", 10, CHUNK + 3, False, False, "default"),
-            ("/f", 2, 4, False, False, "default"),
-            ("/f", CHUNK + 13, 2 * CHUNK, True, False, "default"),
-            ("/f", 3 * CHUNK + 13, 0, False, False, "default"),
+            ("/f", 0, 10, False, "default"),
+            ("/f", 10, CHUNK + 3, False, "default"),
+            ("/f", 2, 4, False, "default"),
+            ("/f", CHUNK + 13, 2 * CHUNK, True, "default"),
+            ("/f", 3 * CHUNK + 13, 0, False, "default"),
         ]
         assert all(e.duration >= 0 and e.start > 0 for e in rec.writes())
         assert fs.stats()["writes"] == 5
@@ -391,3 +395,69 @@ class TestSizeWithChunkInFlight:
             backend.release.set()
             f.close()
         assert backend.read_file("/f") == b"a" * 10 + b"b" * 10 + b"a" * 80
+
+
+# -- a write that fails part way ---------------------------------------------------
+
+
+class TestWriteFailsPartWay:
+    """The write raises; later writes, fsync and close on the file work
+    and keep every byte the write path accepted."""
+
+    def mount(self, backend, pool_chunks, **kw):
+        cfg = CRFSConfig(chunk_size=CHUNK, pool_size=pool_chunks * CHUNK, io_threads=1, **kw)
+        fs = CRFS(backend, cfg)
+        fs.pool.acquire = functools.partial(fs.pool.acquire, timeout=0.2)
+        return fs
+
+    def test_pool_acquire_timeout_on_the_append(self):
+        backend = MemBackend()
+        with self.mount(backend, 1) as fs:
+            a, b = fs.open("/a"), fs.open("/b")
+            a.write(b"a" * 10)  # holds the only chunk
+            with pytest.raises(ShutdownError, match="exhausted"):
+                b.write(b"x" * 10)
+            a.close()
+            b.write(b"b" * 10)
+            b.fsync()
+            b.close()
+        assert backend.read_file("/b") == b"b" * 10
+
+    def test_pool_acquire_timeout_inside_a_spanning_write(self):
+        backend = GatedBackend("pwrite")
+        with self.mount(backend, 2) as fs:
+            a, b = fs.open("/a"), fs.open("/b")
+            a.write(b"a" * 10)  # holds one chunk
+            # The first CHUNK is sealed (and sticks in pwrite); the rest
+            # finds the pool empty, so the seal planned after it never runs.
+            with pytest.raises(ShutdownError, match="exhausted"):
+                b.write(b"x" * (2 * CHUNK + 100))
+            assert backend.entered.wait(10)
+            assert b.size() == CHUNK
+            backend.release.set()
+            a.close()
+            b.write(b"b" * 10)  # the cursor did not move
+            b.close()
+        assert backend.read_file("/b") == b"b" * 10 + b"x" * (CHUNK - 10)
+
+    def test_queue_put_timeout_at_the_tenant_quota(self):
+        backend = GatedBackend("pwrite")
+        quota = (TenantSpec("default", queue_quota=1),)
+        with self.mount(backend, 8, tenants=quota) as fs:
+            put = fs.queue.put
+            fs.queue.put = functools.partial(put, timeout=0.2)
+            f = fs.open("/f")
+            f.write(b"a" * CHUNK)  # sealed; the IO worker sticks in pwrite
+            assert backend.entered.wait(10)
+            f.write(b"b" * CHUNK)  # queued: the quota is full
+            with pytest.raises(QueueFullTimeout):
+                f.write(b"c" * CHUNK)  # sealed, but the put times out
+            fs.queue.put = put
+            backend.release.set()
+            f.write(b"z" * 10)  # the cursor did not move
+            f.flush()
+            fs.table.lookup("/f").wait_drained(timeout=10)
+            f.close()
+        # The "c" chunk was kept and queued ahead of the "z" chunk.
+        expected = b"a" * CHUNK + b"b" * CHUNK + b"z" * 10 + b"c" * (CHUNK - 10)
+        assert backend.read_file("/f") == expected

@@ -77,10 +77,11 @@ class TestMultiByteBuffers:
         backend = MemBackend()
         buf = np.arange(16.0)
         cfg = CRFSConfig(
-            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1, write_through_threshold=64
+            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1, breaker_threshold=1
         )
         with CRFS(backend, cfg) as fs:
             with fs.open("/img") as f:
+                fs.health.record_failure()  # breaker open: the write goes through
                 assert f.write(buf) == buf.nbytes
             assert fs.stats()["write_through_bytes"] == buf.nbytes
         assert backend.read_file("/img") == buf.tobytes()
@@ -139,7 +140,7 @@ class TestFrozenValues:
 
     def test_write_observed_defaults(self):
         ev = WriteObserved("/f", 0, 10, 1.0, 0.5)
-        assert (ev.write_through, ev.degraded, ev.tenant) == (False, False, "default")
+        assert (ev.degraded, ev.tenant) == (False, "default")
         assert isinstance(ev, PipelineEvent)
 
 

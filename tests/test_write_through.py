@@ -1,4 +1,5 @@
-"""Tests for the write-through ablation (large writes bypass aggregation)."""
+"""Tests for write-through: while the circuit breaker is open, writes
+bypass aggregation (and a successful one closes the breaker again)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +12,18 @@ from repro.errors import ConfigError
 from repro.units import KiB
 
 
-def wt_config(threshold=64 * KiB):
+def wt_config():
     return CRFSConfig(
         chunk_size=16 * KiB,
         pool_size=128 * KiB,
         io_threads=2,
-        write_through_threshold=threshold,
+        breaker_threshold=1,
     )
+
+
+def trip(fs):
+    """Open the breaker: the next write goes through."""
+    assert fs.health.record_failure()
 
 
 class TestPlannerExternalWrite:
@@ -60,7 +66,8 @@ class TestWriteThroughMount:
         backend = InstrumentedBackend(MemBackend())
         with CRFS(backend, wt_config()) as fs:
             with fs.open("/f") as f:
-                f.write(b"L" * (64 * KiB))  # at threshold -> direct
+                trip(fs)
+                f.write(b"L" * (64 * KiB))  # breaker open -> direct
             assert fs.write_through_bytes == 64 * KiB
         # the direct write is a single backend pwrite of the full size
         assert 64 * KiB in backend.write_sizes()
@@ -79,8 +86,9 @@ class TestWriteThroughMount:
         with CRFS(backend, wt_config()) as fs:
             with fs.open("/f") as f:
                 f.write(b"a" * 1000)          # buffered
+                trip(fs)
                 f.write(b"B" * (64 * KiB))    # direct (flushes the partial first)
-                f.write(b"c" * 500)           # buffered again
+                f.write(b"c" * 500)           # buffered again: the probe closed it
         expected = b"a" * 1000 + b"B" * (64 * KiB) + b"c" * 500
         assert backend.read_file("/f") == expected
 
@@ -92,12 +100,14 @@ class TestWriteThroughMount:
         with CRFS(backend, wt_config()) as fs:
             with fs.open("/f") as f:
                 f.write(b"x" * 1000)
+                trip(fs)
                 f.write(b"Y" * (64 * KiB))
         ops = backend.ops("pwrite")
         assert {op.offset for op in ops} == {0, 1000}
         assert backend.inner.read_file("/f") == b"x" * 1000 + b"Y" * (64 * KiB)
 
     def test_disabled_by_default(self):
+        """With the breaker closed, however large a write, it aggregates."""
         backend = InstrumentedBackend(MemBackend())
         cfg = CRFSConfig(chunk_size=16 * KiB, pool_size=128 * KiB)
         with CRFS(backend, cfg) as fs:
@@ -108,11 +118,12 @@ class TestWriteThroughMount:
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
-            CRFSConfig(write_through_threshold=-1)
+            CRFSConfig(breaker_threshold=-1)
 
     def test_stats_exposed(self):
         with CRFS(MemBackend(), wt_config()) as fs:
             with fs.open("/f") as f:
+                trip(fs)
                 f.write(b"L" * (64 * KiB))
             assert fs.stats()["write_through_bytes"] == 64 * KiB
 
@@ -131,6 +142,8 @@ class TestWriteThroughMount:
             with fs.open("/f") as f:
                 for i, s in enumerate(sizes):
                     payload = bytes([i % 256]) * s
+                    if s >= 64 * KiB:
+                        trip(fs)
                     f.write(payload)
                     expected.extend(payload)
         assert backend.read_file("/f") == bytes(expected)

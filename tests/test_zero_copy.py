@@ -79,10 +79,10 @@ class TestCopyLedger:
 
 class TestStatsMemSection:
     def test_copy_events_feed_the_mem_section(self):
-        def write(length, write_through=False):
+        def write(length, degraded=False):
             return WriteObserved(
                 path="/f", offset=0, length=length, start=0.0, duration=0.0,
-                write_through=write_through,
+                degraded=degraded,
             )
 
         def read(copied):
@@ -96,7 +96,7 @@ class TestStatsMemSection:
             write(100),
             write(28),
             write(0),  # empty write: nothing ingested
-            write(CHUNK, write_through=True),  # bypasses the pool
+            write(CHUNK, degraded=True),  # write-through: bypasses the pool
             read(7),
             read(0),  # passthrough read: no pipeline copy
             ChunkFetched(path="/f", file_offset=0, length=CHUNK),
@@ -256,13 +256,13 @@ class TestAliasingContract:
     def test_mount_write_through_snapshots_before_return(self):
         mem = MemBackend()
         cfg = CRFSConfig(
-            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
-            write_through_threshold=1,  # every write bypasses aggregation
+            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1, breaker_threshold=1
         )
         image = bytes((i % 239) + 1 for i in range(CHUNK))
         buf = bytearray(image)
         with CRFS(mem, cfg) as fs:
             with fs.open("/ckpt") as f:
+                fs.health.record_failure()  # breaker open: the write bypasses aggregation
                 f.write(buf)
                 buf[:] = b"\xee" * len(buf)
         fd = mem.open("/ckpt", create=False)
@@ -441,11 +441,11 @@ class TestMemSectionCrossPlane:
         # backend (which snapshots it) — there is no pooled-chunk copy,
         # and the ledger must say so.
         cfg = CRFSConfig(
-            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1,
-            write_through_threshold=1,
+            chunk_size=CHUNK, pool_size=4 * CHUNK, io_threads=1, breaker_threshold=1
         )
         with CRFS(MemBackend(), cfg) as fs:
             with fs.open("/ckpt") as f:
+                fs.health.record_failure()  # breaker open: write-through
                 f.write(b"z" * CHUNK)
             stats = fs.stats()
         assert stats["mem"]["bytes_copied"] == 0
